@@ -254,6 +254,7 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
                         f"autoencoder loss became non-finite at epoch {epoch + 1}"
                     )
                 loss.backward()
+                del loss  # free this step's graph before the next forward
                 ae.set_param_vector(adam_step(opt, ae.param_vector(), ae.grad_vector()))
             except FloatingPointError as e:
                 raise TrainingDivergedError(

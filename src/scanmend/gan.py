@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .autoencoder import Autoencoder
-from .distances import hausdorff_directed
+from .distances import hausdorff_directed_batch
 from .nn.checkpoint import Bundle, load_bundle, save_bundle
 from .nn.layers import Dense, Network, ReLU
 from .nn.lossops import emd_loss, soft_hausdorff_loss
@@ -369,10 +369,10 @@ def train_gan(
                 diverged = True
                 break
 
-            hard = np.mean(
-                [hausdorff_directed(partial[p], completion.data[j]) for j, p in enumerate(p_sel)]
-            )
+            hard = np.mean(hausdorff_directed_batch(partial[p_sel], completion.data))
             adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
+            # Free this step's graph before the next batch's forward builds one.
+            del fake, f_fake, completion, l_g
             sums["L_F"] += loss_f_val
             sums["L_G"] += loss_g_val
             sums["hard_HL"] += float(hard)

@@ -8,8 +8,6 @@ from .layers import (
     Network,
     PointwiseDense,
     ReLU,
-    backward,
-    forward,
 )
 from .lossops import emd_loss, soft_hausdorff_loss
 from .optim import AdamState, adam_step
@@ -26,9 +24,7 @@ __all__ = [
     "ReLU",
     "Tensor",
     "adam_step",
-    "backward",
     "emd_loss",
-    "forward",
     "grad_check",
     "soft_hausdorff_loss",
 ]

@@ -49,7 +49,7 @@ class Dense:
     def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.n_in:
             raise ValueError(f"dense expects (batch, {self.n_in}), got {x.data.shape}")
-        return x.matmul(self.w) + self.b
+        return x.matmul(self.w, self.b)
 
 
 class PointwiseDense(Dense):
@@ -66,7 +66,7 @@ class PointwiseDense(Dense):
             raise ValueError(
                 f"pointwise dense expects (batch, points, {self.n_in}), got {x.data.shape}"
             )
-        return x.matmul(self.w) + self.b
+        return x.matmul(self.w, self.b)
 
 
 class BatchNorm:
@@ -126,14 +126,20 @@ class BatchNorm:
                 x.accum_grad(dxhat.reshape(x.data.shape))
 
         else:
+            mean = self.running_mean
             inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = (x.data - self.running_mean) * inv
-            out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
+            # One allocation, then in place: ((x - mean) * inv) * gamma + beta.
+            y = x.data - mean
+            y *= inv
+            y *= gamma.data
+            y += beta.data
+            out = Tensor(y, (x, gamma, beta))
 
             def backward(g):
                 dy = g.reshape(m, self.width)
+                xhat = (x.data.reshape(m, self.width) - mean) * inv
                 beta.accum_grad(dy.sum(axis=0))
-                gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat.reshape(m, self.width)))
+                gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
                 x.accum_grad(g * (gamma.data * inv))
 
         out._backward = backward
@@ -186,7 +192,6 @@ class Network:
         self.layers = list(layers)
         self.name = name
         self.mode = "train"
-        self._cached_output: Tensor | None = None
 
     def train(self) -> "Network":
         self.mode = "train"
@@ -197,22 +202,26 @@ class Network:
         return self
 
     def forward(self, x: Tensor) -> Tensor:
+        """Run the stack; raise FloatingPointError naming the first layer
+        whose output is not finite.
+
+        ReLU and max-pool map finite inputs to finite outputs, so their
+        output is scanned only when their input is not yet known finite.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
         train = self.mode == "train"
+        finite = False
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, train)
+            if finite and isinstance(layer, (ReLU, MaxPool)):
+                continue
             if not np.all(np.isfinite(x.data)):
                 raise FloatingPointError(
                     f"non-finite activation after layer {i} ({layer.kind}) of {self.name}"
                 )
-        self._cached_output = x
+            finite = True
         return x
-
-    def backward(self, upstream=None) -> None:
-        if self._cached_output is None:
-            raise RuntimeError("backward called before forward")
-        self._cached_output.backward(upstream)
 
     # ---- parameters ----
 
@@ -258,14 +267,6 @@ class Network:
     def architecture_hash(self) -> str:
         canon = json.dumps(self.layer_specs(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def forward(net: Network, x) -> Tensor:
-    return net.forward(x)
-
-
-def backward(net: Network, upstream=None) -> None:
-    net.backward(upstream)
 
 
 def build_layer(spec: dict, rng: Rng):

@@ -4,14 +4,15 @@ The assignment and soft-Hausdorff solvers live in scanmend.distances and work
 on plain arrays; these wrappers turn their values into scalar Tensors whose
 backward routes the analytic (sub)gradients into the predicted clouds.  The
 EMD gradient is exact at the optimal assignment (Danskin), the Hausdorff one
-is the gradient of the log-sum-exp relaxation.
+is the gradient of the log-sum-exp relaxation.  The soft Hausdorff value and
+gradient are computed for the whole batch at once, the gradient in matmul
+form (see distances.soft_hausdorff_batch).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distances import _soft_hausdorff_value_grad
 from .. import distances
 from .tensor import Tensor
 
@@ -59,10 +60,7 @@ def soft_hausdorff_loss(source, completion: Tensor, tau: float = 0.01) -> Tensor
     if s.shape[0] != c.shape[0]:
         raise ValueError(f"batch sizes differ: {s.shape[0]} vs {c.shape[0]}")
     batch = c.shape[0]
-    values = np.empty(batch)
-    grads = np.empty_like(c)
-    for b in range(batch):
-        values[b], grads[b] = _soft_hausdorff_value_grad(s[b], c[b], tau)
+    values, grads = distances.soft_hausdorff_batch(s, c, tau)
     out = Tensor(values.mean(), (completion,))
 
     def backward(g):

@@ -7,7 +7,7 @@ most three axes (batch, points, features).  Custom operations (EMD, soft
 Hausdorff, max pooling) build nodes directly by supplying parents and
 assigning _backward.
 
-Two rules keep memory behavior sane across long training runs:
+Three rules keep memory behavior sane across long training runs:
 
 * The graph must stay acyclic in the reference-counting sense: a backward
   closure receives the output gradient as its argument and must never
@@ -15,6 +15,9 @@ Two rules keep memory behavior sane across long training runs:
   as plain arrays).  References then only point child -> parent, so an
   entire step's graph is freed the moment the loss tensor is dropped, with
   no reliance on the cycle collector.
+* No operation writes into an array another node holds: in-place updates
+  touch only arrays the operation itself just allocated.  A closure may
+  therefore capture its own output array (ReLU derives its mask from it).
 * Gradients are allocated lazily: `grad` is None until backward reaches the
   tensor.  Accumulation always rebinds (`grad = grad + g`) and never mutates
   an existing array, so a gradient may safely alias its consumer's gradient
@@ -181,31 +184,31 @@ class Tensor:
         out._backward = backward
         return out
 
-    def matmul(self, w: "Tensor") -> "Tensor":
-        """self @ w with self of 2 or 3 axes and w a 2-D weight matrix.
+    def matmul(self, w: "Tensor", bias: "Tensor | None" = None) -> "Tensor":
+        """self @ w (+ bias) with self of 2 or 3 axes and w a 2-D weight matrix.
 
-        The 3-axis case runs as a single flattened GEMM rather than a batched
-        product.
+        Runs as a single flattened GEMM; the bias is added in place into the
+        GEMM output, so one node holds the affine map and no pre-bias array
+        stays alive.
         """
         if w.data.ndim != 2:
             raise ValueError("matmul weight must be 2-D")
-        if self.data.ndim == 2:
-            out = Tensor(self.data @ w.data, (self, w))
-
-            def backward(g):
-                self.accum_grad(g @ w.data.T)
-                w.accum_grad(self.data.T @ g)
-
+        n_in, n_out = w.data.shape
+        flat = np.ascontiguousarray(self.data).reshape(-1, n_in)
+        y = flat @ w.data
+        if bias is None:
+            parents = (self, w)
         else:
-            n_in, n_out = w.data.shape
-            flat = np.ascontiguousarray(self.data).reshape(-1, n_in)
-            out_shape = self.data.shape[:-1] + (n_out,)
-            out = Tensor((flat @ w.data).reshape(out_shape), (self, w))
+            y += bias.data
+            parents = (self, w, bias)
+        out = Tensor(y.reshape(self.data.shape[:-1] + (n_out,)), parents)
 
-            def backward(g):
-                g2 = np.ascontiguousarray(g).reshape(-1, n_out)
-                self.accum_grad((g2 @ w.data.T).reshape(self.data.shape))
-                w.accum_grad(flat.T @ g2)
+        def backward(g):
+            g2 = np.ascontiguousarray(g).reshape(-1, n_out)
+            self.accum_grad((g2 @ w.data.T).reshape(self.data.shape))
+            w.accum_grad(flat.T @ g2)
+            if bias is not None:
+                bias.accum_grad(g2.sum(axis=0))
 
         out._backward = backward
         return out
@@ -215,11 +218,12 @@ class Tensor:
     # ---- nonlinearities and elementwise maps ----
 
     def relu(self):
-        mask = self.data > 0.0
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
+        y = np.maximum(self.data, 0.0)
+        out = Tensor(y, (self,))
 
         def backward(g):
-            self.accum_grad(g * mask)
+            # y > 0 exactly where the input was positive.
+            self.accum_grad(g * (y > 0.0))
 
         out._backward = backward
         return out

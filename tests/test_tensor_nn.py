@@ -274,10 +274,54 @@ def test_network_forward_names_nonfinite_layer():
         net.forward(Tensor(np.ones((1, 2))))
 
 
-def test_network_backward_before_forward():
-    net = Network([Dense(2, 2, Rng(0))])
-    with pytest.raises(RuntimeError, match="before forward"):
-        net.backward()
+@pytest.mark.parametrize(
+    "layers, x, expect",
+    [
+        # a -inf dense output that the ReLU after it would zero
+        (lambda: [Dense(2, 2, Rng(0)), ReLU()], np.ones((1, 2)), "layer 0 .*dense"),
+        # a -inf point that the max over points would hide
+        (lambda: [PointwiseDense(3, 2, Rng(0)), MaxPool()], np.ones((1, 4, 3)), "layer 0 .*pointwise"),
+        # a NaN network input caught at the first layer even when it is a ReLU
+        (lambda: [ReLU()], np.full((1, 2), np.nan), "layer 0 .*relu"),
+        (lambda: [ReLU(), Dense(2, 2, Rng(0))], np.full((1, 2), np.nan), "layer 0 .*relu"),
+    ],
+)
+def test_network_forward_nonfinite_not_masked_by_later_layers(layers, x, expect):
+    layers = layers()
+    if hasattr(layers[0], "b"):
+        layers[0].b.data[0] = -np.inf
+    net = Network(layers, name="probe")
+    with pytest.raises(FloatingPointError, match=expect + ".* probe"):
+        net.forward(Tensor(x))
+
+
+def test_batchnorm_infer_bit_identical_to_formula():
+    bn = BatchNorm(5)
+    rng = Rng(63)
+    for _ in range(3):
+        bn.forward(Tensor(rng.normal((4, 6, 5)) * 3.0 + 1.0), train=True)
+    bn.gamma.data = rng.normal(5)
+    bn.beta.data = rng.normal(5)
+    x = rng.normal((3, 7, 5)) * 2.0
+    inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
+    expected = ((x - bn.running_mean) * inv) * bn.gamma.data + bn.beta.data
+    assert np.array_equal(bn.forward(Tensor(x), train=False).data, expected)
+
+
+def test_dense_is_one_node_bit_identical_to_matmul_plus_bias():
+    rng = Rng(64)
+    for layer, shape in ((Dense(4, 6, Rng(65)), (5, 4)), (PointwiseDense(4, 6, Rng(66)), (2, 5, 4))):
+        layer.b.data = rng.normal(6)
+        x = Tensor(rng.normal(shape))
+        out = layer.forward(x, train=True)
+        assert np.array_equal(out.data, x.data @ layer.w.data + layer.b.data)
+        assert out._parents == (x, layer.w, layer.b)
+
+
+def test_relu_gradient_zero_at_and_below_kink():
+    x = Tensor(np.array([-1.0, 0.0, -0.0, 2.0, 3.0]))
+    x.relu().backward(np.full(5, 2.0))
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 2.0, 2.0])
 
 
 def test_param_vector_round_trip():
