@@ -21,6 +21,7 @@ import contextlib
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .autoencoder import (
@@ -278,6 +279,7 @@ def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None, gan_loss: st
         seed=g["seed"],
         tau=g["tau"],
         gan_loss=gan_loss,
+        lr_regression=g.get("lr_regression"),
     )
     result = train_gan(
         dataset.clean_train,
@@ -419,6 +421,7 @@ def cmd_ablate(cfg: dict, run_dir: str) -> int:
         seed=g["seed"],
         tau=g["tau"],
         gan_loss=g["gan_loss"],
+        lr_regression=g.get("lr_regression"),
     )
     table = []
     for mode in TrainingMode:
@@ -546,6 +549,11 @@ def main(argv=None) -> int:
         return 1
     except TrainingDivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # any other failure: one line, traceback on request
+        if os.environ.get("SCANMEND_DEBUG"):
+            traceback.print_exc()
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

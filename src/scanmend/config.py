@@ -185,9 +185,10 @@ def validate_config(cfg: dict) -> None:
     _chk(g["mode"] in _MODES, f"gan.mode must be one of {_MODES}")
     _chk(g["gan_loss"] in ("ls", "log"), "gan.gan_loss must be 'ls' or 'log'")
     _chk(_is_num(g["lr"]) and g["lr"] > 0, "gan.lr must be > 0")
+    lr_reg = g.get("lr_regression")  # None or absent: use gan.lr
     _chk(
-        _is_num(g["lr_regression"]) and g["lr_regression"] > 0,
-        "gan.lr_regression must be > 0",
+        lr_reg is None or (_is_num(lr_reg) and lr_reg > 0),
+        "gan.lr_regression must be > 0 or null",
     )
     _chk(_is_num(g["beta1"]) and 0.0 <= g["beta1"] < 1.0, "gan.beta1 must be in [0, 1)")
     _chk(isinstance(g["batch_size"], int) and g["batch_size"] >= 1, "gan.batch_size must be >= 1")

@@ -79,23 +79,6 @@ def emd(a, b) -> tuple[float, Assignment]:
     return cost, Assignment(mapping=mapping, cost=cost)
 
 
-def emd_grad(a, b) -> np.ndarray:
-    """Subgradient of emd(a, b) with respect to the points of a.
-
-    At the optimal assignment phi the i-th row is
-    (a_i - b_phi(i)) / (n * ||a_i - b_phi(i)||), and 0 where the matched
-    points coincide.
-    """
-    pa, pb = _pts(a), _pts(b)
-    _, asg = emd(pa, pb)
-    diff = pa - pb[asg.mapping]
-    norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
-    grad = np.zeros_like(diff)
-    nz = norms[:, 0] > 0.0
-    grad[nz] = diff[nz] / (norms[nz] * pa.shape[0])
-    return grad
-
-
 def _auction_assignment(dist: np.ndarray, eps_target: float) -> np.ndarray:
     """Epsilon-scaling auction for the min-cost assignment on a dense matrix.
 

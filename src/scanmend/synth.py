@@ -248,8 +248,29 @@ class ScanError(ValueError):
     pass
 
 
+# Rays per block times triangles: about 256 KiB per float64 buffer, so the
+# six buffers of one block stay in cache.
+_BLOCK_ELEMS = 1 << 15
+
+
+def _dot3(xs, ws, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(x0*w0 + x1*w1) + x2*w2 into `out`, the order of a sum over a trailing
+    axis of three, so the result matches the (r, t, 3) broadcast form bit for
+    bit.  `out` may alias xs[0]."""
+    np.multiply(xs[0], ws[0], out=out)
+    for x, w in zip(xs[1:], ws[1:]):
+        out += np.multiply(x, w, out=tmp)
+    return out
+
+
 def _first_hits(origins: np.ndarray, direction: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Nearest ray-triangle intersection distance per ray (inf if none)."""
+    """Nearest ray-triangle intersection distance per ray (inf if none).
+
+    Moller-Trumbore over the rays x triangles grid, in blocks of rays, with
+    one (rays, tris) buffer per coordinate: no (rays, tris, 3) array is
+    built.  qvec = tvec x e1 uses np.cross's formula, and every dot product
+    sums in _dot3's order.
+    """
     v0 = tris[:, 0]
     e1 = tris[:, 1] - v0
     e2 = tris[:, 2] - v0
@@ -257,21 +278,41 @@ def _first_hits(origins: np.ndarray, direction: np.ndarray, tris: np.ndarray) ->
     det = (e1 * pvec).sum(axis=1)
     ok_det = np.abs(det) > 1e-12
     inv_det = np.where(ok_det, 1.0 / np.where(ok_det, det, 1.0), 0.0)
-    tvec = origins[:, None, :] - v0[None, :, :]  # (r, t, 3)
-    u = (tvec * pvec[None, :, :]).sum(axis=2) * inv_det[None, :]
-    qvec = np.cross(tvec, e1[None, :, :])
-    v = (qvec * direction[None, None, :]).sum(axis=2) * inv_det[None, :]
-    t = (qvec * e2[None, :, :]).sum(axis=2) * inv_det[None, :]
+    e1x, e1y, e1z = e1.T
+    n_rays = origins.shape[0]
+    block = max(1, _BLOCK_ELEMS // tris.shape[0])
+    bufs = np.empty((6, min(block, n_rays), tris.shape[0]))
+    nearest = np.empty(n_rays)
     tol = 1e-12
-    hit = (
-        ok_det[None, :]
-        & (u >= -tol)
-        & (v >= -tol)
-        & (u + v <= 1.0 + tol)
-        & (t > 1e-9)
-    )
-    t = np.where(hit, t, np.inf)
-    return t.min(axis=1)
+    for lo in range(0, n_rays, block):
+        rows = origins[lo : lo + block]
+        tx, ty, tz, u, qx, tmp = bufs[:, : rows.shape[0]]
+        for k, out in enumerate((tx, ty, tz)):
+            np.subtract.outer(rows[:, k], v0[:, k], out=out)
+        _dot3((tx, ty, tz), pvec.T, u, tmp)
+        u *= inv_det
+        # qvec = tvec x e1; qy is written over tz, then qz over tx.
+        np.multiply(ty, e1z, out=qx)
+        qx -= np.multiply(tz, e1y, out=tmp)
+        np.multiply(tx, e1z, out=tmp)
+        qy = np.multiply(tz, e1x, out=tz)
+        qy -= tmp
+        np.multiply(ty, e1x, out=tmp)
+        qz = np.multiply(tx, e1y, out=tx)
+        qz -= tmp
+        v = _dot3((qx, qy, qz), direction, ty, tmp)
+        v *= inv_det
+        t = _dot3((qx, qy, qz), e2.T, qx, tmp)
+        t *= inv_det
+        hit = (
+            ok_det[None, :]
+            & (u >= -tol)
+            & (v >= -tol)
+            & (u + v <= 1.0 + tol)
+            & (t > 1e-9)
+        )
+        nearest[lo : lo + block] = np.where(hit, t, np.inf).min(axis=1)
+    return nearest
 
 
 def virtual_scan(mesh: Mesh, cameras: list) -> PointSet:
@@ -422,12 +463,6 @@ class Dataset:
     partial_test: np.ndarray
     partial_train_gt: np.ndarray
     manifest: dict = field(default_factory=dict)
-
-    def gt_pairs_test(self) -> list:
-        return [
-            (PointSet(self.partial_test[i]), PointSet(self.clean_test[i]))
-            for i in range(self.partial_test.shape[0])
-        ]
 
 
 def _instance_rngs(root: Rng, i: int) -> tuple:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scanmend import cli
 from scanmend.cli import main
 from scanmend.config import (
     ConfigError,
@@ -15,6 +16,7 @@ from scanmend.config import (
     resolve_config,
     validate_config,
 )
+from scanmend.gan import TrainingMode
 from scanmend.ply import read_ply
 
 
@@ -69,11 +71,20 @@ def test_overlay_and_preset_precedence():
         ({"eval": {"jsd_grid": 1}}, "jsd_grid"),
         ({"dataset": {"seed": 1.5}}, "seed"),
         ({"paths": {"reports": ""}}, "paths.reports"),
+        ({"gan": {"lr_regression": 0}}, "gan.lr_regression"),
+        ({"gan": {"lr_regression": "fast"}}, "gan.lr_regression"),
     ],
 )
 def test_validation_rejects_bad_values(patch, msg):
     with pytest.raises(ConfigError, match=msg):
         resolve_config(patch)
+
+
+def test_lr_regression_optional():
+    # absent (the desk presets) or null means "use gan.lr"
+    assert "lr_regression" not in resolve_config()["gan"]
+    assert resolve_config({"gan": {"lr_regression": None}})["gan"]["lr_regression"] is None
+    assert resolve_config(preset="paper-scale")["gan"]["lr_regression"] == 0.0001
 
 
 def test_override_seed_touches_every_section():
@@ -288,3 +299,38 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "scanmend" in capsys.readouterr().out
+
+
+def test_lr_regression_reaches_gan_config(micro_run, tmp_path, monkeypatch):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    cfg_path = tmp_path / "lr.json"
+    cfg_path.write_text(json.dumps({**MICRO, "gan": {**MICRO["gan"], "lr_regression": 0.0125}}))
+    seen = []
+    real_train_gan = cli.train_gan
+
+    def spy(*args, **kwargs):
+        seen.append(args[3].lr_regression)
+        return real_train_gan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_gan", spy)
+    args = ["--run", str(clone), "--config", str(cfg_path)]
+    assert main(["train-gan", *args, "--mode", "no_gan"]) == 0
+    assert main(["ablate", *args]) == 0
+    assert seen == [0.0125] * (1 + len(TrainingMode))
+
+
+def test_unexpected_error_is_one_line(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise KeyError("lr_regression")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    monkeypatch.delenv("SCANMEND_DEBUG", raising=False)
+    run = tmp_path / "r"
+    assert main(["synth", "--run", str(run)]) == 1
+    assert capsys.readouterr().err == "error: KeyError: 'lr_regression'\n"
+    monkeypatch.setenv("SCANMEND_DEBUG", "1")
+    assert main(["synth", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("error: KeyError: 'lr_regression'\n")
+    assert not (run / "run.lock").exists()

@@ -229,9 +229,9 @@ def test_make_dataset_deterministic_and_thread_invariant():
 def test_make_dataset_test_pairs_correspond():
     ds = make_dataset(_tiny_cfg(sigma=0.0))
     # with sigma 0 every test partial's points are a subset of its own clean
-    for partial, clean in ds.gt_pairs_test():
-        kept = {tuple(p) for p in partial.points}
-        orig = {tuple(p) for p in clean.points}
+    for partial, clean in zip(ds.partial_test, ds.clean_test):
+        kept = {tuple(p) for p in partial}
+        orig = {tuple(p) for p in clean}
         assert kept <= orig
 
 
