@@ -11,3 +11,13 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 os.environ.setdefault("SCANMEND_THREADS", "4")
+
+
+def pytest_collection_modifyitems(items):
+    """Run the tests that share the desk-scale ``chain`` fixture last.
+
+    That fixture trains both autoencoders and every GAN mode (about half an
+    hour on one core), so ordering it after everything else lets a run that
+    is cut short still report every other test.
+    """
+    items.sort(key=lambda item: "chain" in getattr(item, "fixturenames", ()))
