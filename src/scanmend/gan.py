@@ -223,10 +223,6 @@ class CompletionPipeline:
         return PointSet(self.complete_batch(partial.points[None])[0])
 
 
-def complete(pipeline: CompletionPipeline, partial: PointSet) -> PointSet:
-    return pipeline.complete(partial)
-
-
 # ---- training ----
 
 
@@ -305,8 +301,10 @@ def train_gan(
     opt_g = AdamState(lr=gen_lr, beta1=cfg.beta1)
     opt_d = AdamState(lr=cfg.lr, beta1=cfg.beta1)
 
-    # Encoders are frozen, so latent codes are fixed; compute them once.
-    z_clean = _encode_all(clean_ae.encoder, clean)
+    # Encoders are frozen, so latent codes are fixed; compute them once.  Only
+    # the discriminator reads clean codes; clean batches are drawn regardless,
+    # so the random stream is the same in every mode.
+    z_clean = _encode_all(clean_ae.encoder, clean) if settings.train_disc else None
     z_partial = _encode_all(source_enc, partial)
     decoder = clean_ae.decoder
     n_pts = clean_ae.spec.n

@@ -163,11 +163,3 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
         content_hash=hashlib.sha256(blob).hexdigest(),
     )
 
-
-def require_architecture(net: Network, expected_hash: str) -> None:
-    """Reject a network whose architecture hash differs from `expected_hash`."""
-    if net.architecture_hash() != expected_hash:
-        raise ArchitectureMismatchError(
-            f"network {net.name!r}: architecture hash {net.architecture_hash()[:12]} "
-            f"does not match expected {expected_hash[:12]}"
-        )

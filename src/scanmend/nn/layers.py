@@ -1,6 +1,8 @@
 """Network layers: dense, shared per-point MLP, batchnorm, ReLU, max pool.
 
-A Network is an ordered list of layer records plus a train/infer mode flag.
+A Network is an ordered list of layer records plus a train/infer mode flag;
+each PointwiseDense -> BatchNorm -> ReLU triple in it runs as one fused
+PointBlock node (see there for the buffers that node owns and overwrites).
 Weights are float64 Tensors; batchnorm running statistics are plain arrays,
 updated only in train mode.  Initialization is seed-controlled:
 Kaiming-uniform ahead of ReLU, Xavier for final linear layers.
@@ -14,7 +16,7 @@ import json
 import numpy as np
 
 from ..rng import Rng
-from .tensor import Tensor
+from .tensor import Tensor, affine, affine_backward
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
@@ -61,11 +63,14 @@ class PointwiseDense(Dense):
 
     kind = "pointwise"
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def check_input(self, x: Tensor) -> None:
         if x.data.ndim != 3 or x.data.shape[2] != self.n_in:
             raise ValueError(
                 f"pointwise dense expects (batch, points, {self.n_in}), got {x.data.shape}"
             )
+
+    def forward(self, x: Tensor, train: bool) -> Tensor:
+        self.check_input(x)
         return x.matmul(self.w, self.b)
 
 
@@ -75,7 +80,8 @@ class BatchNorm:
     On 3-axis inputs statistics are taken over batch and points jointly.
     Train mode normalizes by batch statistics and updates the running
     averages; infer mode uses the stored running averages only, so its output
-    is independent of batch composition.
+    is independent of batch composition.  The arithmetic works on (rows,
+    width) arrays and is shared with the fused point block.
     """
 
     kind = "batchnorm"
@@ -93,55 +99,85 @@ class BatchNorm:
     def param_items(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
+    # ---- arithmetic on (rows, width) arrays ----
+
+    def normalize_train(self, flat: np.ndarray, out=None) -> tuple:
+        """(x-hat, inv) of `flat` under its batch statistics, and update the
+        running averages.  x-hat is written to `out`, which may be `flat`
+        itself, or to a new array when out is None."""
+        m = flat.shape[0]
+        mu = flat.mean(axis=0)
+        xhat = np.subtract(flat, mu, out=out)
+        var = np.einsum("ij,ij->j", xhat, xhat) / m
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
+        self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv
+        return xhat, inv
+
+    def scale_shift(self, xhat: np.ndarray) -> np.ndarray:
+        """xhat * gamma + beta in a new array."""
+        y = xhat * self.gamma.data
+        y += self.beta.data
+        return y
+
+    def backward_train(self, dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray, out=None):
+        """Accumulate the gamma and beta gradients of a train-mode forward and
+        return its input gradient, written to `out`, which may be `dy`
+        itself, or to a new array when out is None."""
+        m = dy.shape[0]
+        self.beta.accum_grad(dy.sum(axis=0))
+        self.gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
+        dxhat = np.multiply(dy, self.gamma.data, out=out)
+        c1 = dxhat.mean(axis=0)
+        c2 = np.einsum("ij,ij->j", dxhat, xhat) / m
+        dxhat -= c1
+        dxhat -= xhat * c2
+        dxhat *= inv
+        return dxhat
+
+    def infer_stats(self) -> tuple:
+        return self.running_mean, 1.0 / np.sqrt(self.running_var + BN_EPS)
+
+    def normalize_infer(self, flat: np.ndarray, mean, inv, out=None) -> np.ndarray:
+        """((flat - mean) * inv) * gamma + beta, written to `out`, which may
+        be `flat` itself, or to a new array when out is None."""
+        y = np.subtract(flat, mean, out=out)
+        y *= inv
+        y *= self.gamma.data
+        y += self.beta.data
+        return y
+
+    def backward_infer(self, dy: np.ndarray, flat: np.ndarray, mean, inv) -> np.ndarray:
+        """Accumulate the gamma and beta gradients of an infer-mode forward of
+        `flat` and return its input gradient as a new array."""
+        xhat = (flat - mean) * inv
+        self.beta.accum_grad(dy.sum(axis=0))
+        self.gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
+        return dy * (self.gamma.data * inv)
+
     def forward(self, x: Tensor, train: bool) -> Tensor:
         if x.data.shape[-1] != self.width:
             raise ValueError(f"batchnorm width {self.width} != features {x.data.shape[-1]}")
-        axes = tuple(range(x.data.ndim - 1))
-        gamma, beta = self.gamma, self.beta
-        m = x.data.size // self.width
-        flat = x.data.reshape(m, self.width)
+        shape, width = x.data.shape, self.width
+        m = x.data.size // width
         if train:
-            mu = flat.mean(axis=0)
-            xhat = x.data - mu
-            var = np.einsum("ij,ij->j", xhat.reshape(m, self.width), xhat.reshape(m, self.width)) / m
-            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
-            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat *= inv
-            y = xhat * gamma.data
-            y += beta.data
-            out = Tensor(y, (x, gamma, beta))
+            xhat, inv = self.normalize_train(x.data.reshape(m, width))
+            y = self.scale_shift(xhat)
 
             def backward(g):
-                dy = g.reshape(m, self.width)
-                xh = xhat.reshape(m, self.width)
-                beta.accum_grad(dy.sum(axis=0))
-                gamma.accum_grad(np.einsum("ij,ij->j", dy, xh))
-                dxhat = dy * gamma.data
-                c1 = dxhat.mean(axis=0)
-                c2 = np.einsum("ij,ij->j", dxhat, xh) / m
-                dxhat -= c1
-                dxhat -= xh * c2
-                dxhat *= inv
-                x.accum_grad(dxhat.reshape(x.data.shape))
+                dx = self.backward_train(g.reshape(m, width), xhat, inv)
+                x.accum_grad(dx.reshape(shape))
 
         else:
-            mean = self.running_mean
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            # One allocation, then in place: ((x - mean) * inv) * gamma + beta.
-            y = x.data - mean
-            y *= inv
-            y *= gamma.data
-            y += beta.data
-            out = Tensor(y, (x, gamma, beta))
+            mean, inv = self.infer_stats()
+            y = self.normalize_infer(x.data.reshape(m, width), mean, inv)
 
             def backward(g):
-                dy = g.reshape(m, self.width)
-                xhat = (x.data.reshape(m, self.width) - mean) * inv
-                beta.accum_grad(dy.sum(axis=0))
-                gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
-                x.accum_grad(g * (gamma.data * inv))
+                dx = self.backward_infer(g.reshape(m, width), x.data.reshape(m, width), mean, inv)
+                x.accum_grad(dx.reshape(shape))
 
+        out = Tensor(y.reshape(shape), (x, self.gamma, self.beta))
         out._backward = backward
         return out
 
@@ -185,6 +221,81 @@ class MaxPool:
         return out
 
 
+class PointBlock:
+    """PointwiseDense -> BatchNorm -> ReLU run as one graph node.
+
+    Network builds one for each such triple in its layer list; the three
+    layers keep their records, parameters and running statistics, and the
+    node's parents are (x, W, b, gamma, beta).  Every per-element formula and
+    reduction is the three layers' own, so the outputs and gradients are
+    bit-identical to running them one by one.
+
+    Train mode owns two (rows, width) arrays: the GEMM output, which it
+    normalizes in place to x-hat, and the output max(x-hat * gamma + beta, 0).
+    Backward takes the ReLU mask from the output and runs the BatchNorm
+    backward and then the GEMM backward in one new array.  Infer mode runs
+    the BatchNorm affine map and the ReLU in place in the GEMM output, the
+    only array it owns, so its backward recomputes the GEMM.
+    """
+
+    def __init__(self, dense: PointwiseDense, bn: BatchNorm):
+        self.dense, self.bn = dense, bn
+
+    def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
+        """`check(array, i)` raises when the output of layer i is not finite;
+        `index` is the dense layer's index in the network."""
+        dense, bn = self.dense, self.bn
+        dense.check_input(x)
+        w, b, n_out = dense.w, dense.b, dense.n_out
+        flat, h = affine(x.data, w.data, b.data)
+        check(h, index)
+        if train:
+            xhat, inv = bn.normalize_train(h, out=h)
+            y = bn.scale_shift(xhat)
+        else:
+            mean, inv = bn.infer_stats()
+            y = bn.normalize_infer(h, mean, inv, out=h)
+        check(y, index + 1)
+        # ReLU maps finite values to finite values, so its output needs no check.
+        y = np.maximum(y, 0.0, out=y).reshape(x.data.shape[:-1] + (n_out,))
+        out = Tensor(y, (x, w, b, bn.gamma, bn.beta))
+
+        def backward(g):
+            # y > 0 exactly where the BatchNorm output was positive.
+            dy = (g * (y > 0.0)).reshape(-1, n_out)
+            if train:
+                dh = bn.backward_train(dy, xhat, inv, out=dy)
+            else:
+                dh = bn.backward_infer(dy, affine(flat, w.data, b.data)[1], mean, inv)
+            affine_backward(dh, flat, x, w, b)
+
+        out._backward = backward
+        return out
+
+
+def _forward_steps(layers: list) -> list:
+    """(index, step) pairs that run `layers` in order, each PointwiseDense ->
+    BatchNorm -> ReLU triple of matching width as one PointBlock step.  A
+    triple whose widths differ runs layer by layer, so that BatchNorm's own
+    check reports the mismatch."""
+    steps, i = [], 0
+    while i < len(layers):
+        triple = layers[i : i + 3]
+        if (
+            len(triple) == 3
+            and isinstance(triple[0], PointwiseDense)
+            and isinstance(triple[1], BatchNorm)
+            and isinstance(triple[2], ReLU)
+            and triple[0].n_out == triple[1].width
+        ):
+            steps.append((i, PointBlock(triple[0], triple[1])))
+            i += 3
+        else:
+            steps.append((i, layers[i]))
+            i += 1
+    return steps
+
+
 class Network:
     """Ordered layer stack with a train/infer mode and flat parameter views."""
 
@@ -192,6 +303,7 @@ class Network:
         self.layers = list(layers)
         self.name = name
         self.mode = "train"
+        self._steps = _forward_steps(self.layers)
 
     def train(self) -> "Network":
         self.mode = "train"
@@ -201,25 +313,32 @@ class Network:
         self.mode = "infer"
         return self
 
+    def _check(self, arr: np.ndarray, i: int) -> None:
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(
+                f"non-finite activation after layer {i} ({self.layers[i].kind}) of {self.name}"
+            )
+
     def forward(self, x: Tensor) -> Tensor:
         """Run the stack; raise FloatingPointError naming the first layer
         whose output is not finite.
 
         ReLU and max-pool map finite inputs to finite outputs, so their
         output is scanned only when their input is not yet known finite.
+        Each PointwiseDense -> BatchNorm -> ReLU triple runs as one
+        PointBlock node, which checks the dense and the BatchNorm output.
         """
         if not isinstance(x, Tensor):
             x = Tensor(x)
         train = self.mode == "train"
         finite = False
-        for i, layer in enumerate(self.layers):
-            x = layer.forward(x, train)
-            if finite and isinstance(layer, (ReLU, MaxPool)):
-                continue
-            if not np.all(np.isfinite(x.data)):
-                raise FloatingPointError(
-                    f"non-finite activation after layer {i} ({layer.kind}) of {self.name}"
-                )
+        for i, step in self._steps:
+            if isinstance(step, PointBlock):
+                x = step.forward(x, train, self._check, i)
+            else:
+                x = step.forward(x, train)
+                if not (finite and isinstance(step, (ReLU, MaxPool))):
+                    self._check(x.data, i)
             finite = True
         return x
 

@@ -18,6 +18,12 @@ Three rules keep memory behavior sane across long training runs:
 * No operation writes into an array another node holds: in-place updates
   touch only arrays the operation itself just allocated.  A closure may
   therefore capture its own output array (ReLU derives its mask from it).
+  The fused point block (`layers.PointBlock`) is the widest case: in train
+  mode it normalizes its own GEMM output in place to x-hat and writes its
+  output into a second array; its backward overwrites one array it
+  allocates, never the output gradient it receives, its x-hat or its
+  output.  In infer mode it works in place in its GEMM output, which is
+  its output array, so its backward recomputes the GEMM.
 * Gradients are allocated lazily: `grad` is None until backward reaches the
   tensor.  Accumulation always rebinds (`grad = grad + g`) and never mutates
   an existing array, so a gradient may safely alias its consumer's gradient
@@ -40,6 +46,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def affine(data: np.ndarray, w: np.ndarray, b: np.ndarray | None):
+    """The flattened GEMM of `data @ w (+ b)`: (contiguous (rows, n_in) input,
+    new (rows, n_out) output), the bias added in place into the output."""
+    flat = np.ascontiguousarray(data).reshape(-1, w.shape[0])
+    y = flat @ w
+    if b is not None:
+        y += b
+    return flat, y
+
+
+def affine_backward(g2: np.ndarray, flat: np.ndarray, x: "Tensor", w: "Tensor", b) -> None:
+    """Route the (rows, n_out) output gradient `g2` of affine() to x, w and b."""
+    x.accum_grad((g2 @ w.data.T).reshape(x.data.shape))
+    w.accum_grad(flat.T @ g2)
+    if b is not None:
+        b.accum_grad(g2.sum(axis=0))
 
 
 class Tensor:
@@ -193,22 +217,13 @@ class Tensor:
         """
         if w.data.ndim != 2:
             raise ValueError("matmul weight must be 2-D")
-        n_in, n_out = w.data.shape
-        flat = np.ascontiguousarray(self.data).reshape(-1, n_in)
-        y = flat @ w.data
-        if bias is None:
-            parents = (self, w)
-        else:
-            y += bias.data
-            parents = (self, w, bias)
+        n_out = w.data.shape[1]
+        flat, y = affine(self.data, w.data, None if bias is None else bias.data)
+        parents = (self, w) if bias is None else (self, w, bias)
         out = Tensor(y.reshape(self.data.shape[:-1] + (n_out,)), parents)
 
         def backward(g):
-            g2 = np.ascontiguousarray(g).reshape(-1, n_out)
-            self.accum_grad((g2 @ w.data.T).reshape(self.data.shape))
-            w.accum_grad(flat.T @ g2)
-            if bias is not None:
-                bias.accum_grad(g2.sum(axis=0))
+            affine_backward(np.ascontiguousarray(g).reshape(-1, n_out), flat, self, w, bias)
 
         out._backward = backward
         return out

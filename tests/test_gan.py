@@ -11,7 +11,6 @@ from scanmend.gan import (
     assemble_pipeline,
     build_discriminator,
     build_generator,
-    complete,
     disc_loss,
     gen_loss,
     load_gan,
@@ -167,11 +166,11 @@ def test_complete_point_count_and_permutation_invariance():
     pipeline = CompletionPipeline(clean_ae=ae, generator=build_generator(GanSpec(k=4), Rng(5)))
     rng = Rng(6)
     cloud = rng.normal((16, 3))
-    out = complete(pipeline, PointSet(cloud))
+    out = pipeline.complete(PointSet(cloud))
     assert out.n == 16
     for _ in range(10):
         perm = rng.permutation(16)
-        again = complete(pipeline, PointSet(cloud[perm]))
+        again = pipeline.complete(PointSet(cloud[perm]))
         assert np.array_equal(out.points, again.points)
 
 
@@ -179,7 +178,7 @@ def test_complete_rejects_wrong_point_count():
     ae, _, _ = tiny_setup()
     pipeline = CompletionPipeline(clean_ae=ae, generator=build_generator(GanSpec(k=4), Rng(5)))
     with pytest.raises(ValueError, match="expected 16"):
-        complete(pipeline, PointSet(Rng(0).normal((9, 3))))
+        pipeline.complete(PointSet(Rng(0).normal((9, 3))))
 
 
 # ---- training ----

@@ -245,8 +245,9 @@ def test_batchnorm_3d_statistics_over_batch_and_points():
 def test_batchnorm_gradients_train_and_infer():
     # train mode couples every batch element through the statistics, so the
     # check exercises the full mu/var backward, not just the affine part
-    for train in (True, False):
-        net = Network([PointwiseDense(3, 6, Rng(43)), BatchNorm(6)])
+    # with a ReLU after it, the triple runs as one fused node
+    for train, tail in ((True, []), (False, []), (True, [ReLU()]), (False, [ReLU()])):
+        net = Network([PointwiseDense(3, 6, Rng(43)), BatchNorm(6)] + tail)
         if not train:
             # give the running stats some life, then freeze
             net.forward(Tensor(Rng(44).normal((4, 5, 3))))
@@ -274,24 +275,45 @@ def test_network_forward_names_nonfinite_layer():
         net.forward(Tensor(np.ones((1, 2))))
 
 
+def _poison(layer, attr, value):
+    getattr(layer, attr).data[0] = value
+    return layer
+
+
+def _triple(dense_bias=0.0, gamma=1.0, beta=0.0):
+    return [
+        _poison(PointwiseDense(3, 2, Rng(0)), "b", dense_bias),
+        _poison(_poison(BatchNorm(2), "gamma", gamma), "beta", beta),
+        ReLU(),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
 @pytest.mark.parametrize(
     "layers, x, expect",
     [
         # a -inf dense output that the ReLU after it would zero
-        (lambda: [Dense(2, 2, Rng(0)), ReLU()], np.ones((1, 2)), "layer 0 .*dense"),
+        (lambda: [_poison(Dense(2, 2, Rng(0)), "b", -np.inf), ReLU()], np.ones((1, 2)),
+         "layer 0 .*dense"),
         # a -inf point that the max over points would hide
-        (lambda: [PointwiseDense(3, 2, Rng(0)), MaxPool()], np.ones((1, 4, 3)), "layer 0 .*pointwise"),
+        (lambda: [_poison(PointwiseDense(3, 2, Rng(0)), "b", -np.inf), MaxPool()],
+         np.ones((1, 4, 3)), "layer 0 .*pointwise"),
         # a NaN network input caught at the first layer even when it is a ReLU
         (lambda: [ReLU()], np.full((1, 2), np.nan), "layer 0 .*relu"),
         (lambda: [ReLU(), Dense(2, 2, Rng(0))], np.full((1, 2), np.nan), "layer 0 .*relu"),
+        # inside a fused PointwiseDense -> BatchNorm -> ReLU block: the dense
+        # output, and BatchNorm outputs that are NaN (train) or +-inf (infer),
+        # or -inf, which the block's ReLU would zero
+        (lambda: _triple(dense_bias=-np.inf), np.ones((1, 4, 3)), "layer 0 .*pointwise"),
+        (lambda: _triple(gamma=np.inf), np.ones((1, 4, 3)), "layer 1 .*batchnorm"),
+        (lambda: _triple(beta=-np.inf), np.ones((1, 4, 3)), "layer 1 .*batchnorm"),
+        (lambda: _triple(beta=-np.inf) + [MaxPool()], np.ones((1, 4, 3)), "layer 1 .*batchnorm"),
     ],
 )
-def test_network_forward_nonfinite_not_masked_by_later_layers(layers, x, expect):
-    layers = layers()
-    if hasattr(layers[0], "b"):
-        layers[0].b.data[0] = -np.inf
-    net = Network(layers, name="probe")
-    with pytest.raises(FloatingPointError, match=expect + ".* probe"):
+def test_network_forward_nonfinite_not_masked_by_later_layers(layers, x, expect, mode):
+    net = Network(layers(), name="probe")
+    net.mode = mode
+    with pytest.raises(FloatingPointError, match=expect + ".* probe"), np.errstate(invalid="ignore"):
         net.forward(Tensor(x))
 
 
