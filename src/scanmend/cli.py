@@ -84,18 +84,56 @@ def _paths(cfg: dict, run_dir: str) -> dict:
     }
 
 
+def _dead_lock_owner(lock_path: str) -> int | None:
+    """PID stored in the lock file if that process no longer exists, else
+    None: a live owner, one this user may not signal, and unreadable lock
+    content all count as a holder."""
+    try:
+        with open(lock_path) as f:
+            pid = int(f.read().strip())
+    except (OSError, ValueError):
+        return None
+    if pid <= 0:  # os.kill would signal a process group
+        return None
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, OverflowError):  # PermissionError: alive, another user's
+        return None
+    return None
+
+
 @contextlib.contextmanager
 def run_lock(run_dir: str):
-    """Exclusive single-owner lock on a run directory for one invocation."""
+    """Exclusive single-owner lock on a run directory for one invocation.
+
+    run.lock holds the owner's PID.  A lock whose owner has exited, say
+    after a kill, is taken over with a warning on stderr.
+    """
     os.makedirs(run_dir, exist_ok=True)
     lock_path = os.path.join(run_dir, LOCK_NAME)
+    locked = CliError(
+        f"run directory {run_dir} is locked by another invocation"
+        f" (remove {lock_path} if that process is gone)"
+    )
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise CliError(
-            f"run directory {run_dir} is locked by another invocation"
-            f" (remove {lock_path} if that process is gone)"
-        ) from None
+        owner = _dead_lock_owner(lock_path)
+        if owner is None:
+            raise locked from None
+        print(
+            f"warning: taking over {lock_path} from process {owner}, which has exited",
+            file=sys.stderr,
+        )
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(lock_path)
+        try:
+            fd = os.open(lock_path, flags)
+        except FileExistsError:  # another invocation took it over first
+            raise locked from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)

@@ -161,23 +161,6 @@ def hausdorff_symmetric(a, b) -> float:
     return max(hausdorff_directed(a, b), hausdorff_directed(b, a))
 
 
-def soft_hausdorff_directed(s, r, tau: float = 0.01) -> float:
-    """Log-sum-exp relaxation of hausdorff_directed at temperature tau.
-
-    Soft-min over r inside, soft-max over s outside; the value lies within
-    tau * log(|s| * |r|) of the hard directed distance and converges to it
-    as tau -> 0.
-    """
-    value, _ = _soft_hausdorff_value_grad(_pts(s), _pts(r), tau)
-    return value
-
-
-def hausdorff_directed_grad(s, r, tau: float = 0.01) -> np.ndarray:
-    """Gradient of the soft directed Hausdorff value with respect to r."""
-    _, grad = _soft_hausdorff_value_grad(_pts(s), _pts(r), tau)
-    return grad
-
-
 def _cdist_batch(s: np.ndarray, r: np.ndarray, metric: str) -> np.ndarray:
     """(batch, |s|, |r|) distances cdist(s[b], r[b], metric), in one buffer.
 
@@ -191,17 +174,14 @@ def _cdist_batch(s: np.ndarray, r: np.ndarray, metric: str) -> np.ndarray:
     return out
 
 
-def _soft_hausdorff_value_grad(
-    ps: np.ndarray, pr: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    values, grads = soft_hausdorff_batch(ps[None], pr[None], tau)
-    return float(values[0]), grads[0]
-
-
 def soft_hausdorff_batch(
     s: np.ndarray, r: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft directed Hausdorff s[b] -> r[b] and its gradient in r[b].
+
+    The log-sum-exp relaxation of hausdorff_directed at temperature tau:
+    soft-min over r inside, soft-max over s outside.  Each value lies within
+    tau * log(|s| * |r|) of the hard directed distance.
 
     s is (batch, |s|, d) and r is (batch, |r|, d).  Returns the (batch,)
     values and the (batch, |r|, d) gradients.  With the two softmax weight

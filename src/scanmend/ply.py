@@ -1,4 +1,4 @@
-"""ASCII PLY and XYZ point-cloud I/O.
+"""ASCII PLY point-cloud I/O.
 
 Coordinates are written with repr-exact precision (%.17g) so a write/read
 round trip reproduces the array bit for bit, which the byte-identical rerun
@@ -74,23 +74,3 @@ def read_ply(path) -> PointSet:
             raise ValueError(f"{path}: row {row} has {len(vals)} values, expected {len(props)}")
         pts[row] = [float(v) for v in vals[:3]]
     return PointSet(pts)
-
-
-def write_xyz(path, pset: PointSet) -> None:
-    with open(path, "w") as f:
-        for p in pset.points:
-            f.write(" ".join(_FMT % c for c in p) + "\n")
-
-
-def read_xyz(path) -> PointSet:
-    rows = []
-    with open(path) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln:
-                continue
-            vals = ln.split()
-            if len(vals) < 3:
-                raise ValueError(f"{path}: line with fewer than 3 coordinates")
-            rows.append([float(v) for v in vals[:3]])
-    return PointSet(np.array(rows, dtype=np.float64))

@@ -14,6 +14,7 @@ fully determined by (seed, instance id), so synthesis order does not matter.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -228,11 +229,50 @@ def _legs(w: float, d: float, s: float, top: float) -> list:
 
 
 @dataclass(frozen=True)
+class RayGrid:
+    """Parallel rays along `direction` on a square grid.
+
+    Ray i * res + j starts at base + span[i] * bu + span[j] * bv, where res
+    is len(span); direction, bu and bv are orthonormal and span increases.
+    """
+
+    base: np.ndarray
+    direction: np.ndarray
+    bu: np.ndarray
+    bv: np.ndarray
+    span: np.ndarray
+    origins: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        uu, vv = np.meshgrid(self.span, self.span, indexing="ij")
+        grid = uu.reshape(-1, 1) * self.bu + vv.reshape(-1, 1) * self.bv
+        object.__setattr__(self, "origins", self.base + grid)
+
+
+@dataclass(frozen=True)
 class Camera:
-    """Orthographic camera: parallel rays along `direction` through a grid."""
+    """Orthographic camera: a res x res grid of parallel rays along `direction`."""
 
     direction: tuple
     res: int = 48
+
+    def __post_init__(self):
+        if isinstance(self.res, bool) or not isinstance(self.res, numbers.Integral) or self.res < 1:
+            raise ValueError(f"camera res must be an int >= 1, got {self.res!r}")
+
+    def rays(self, center: np.ndarray, radius: float) -> RayGrid:
+        """Rays over a square of half-width 1.05 * radius about `center`,
+        starting 2 * radius behind it, so they cover the sphere (center,
+        radius) from outside."""
+        d = np.asarray(self.direction, dtype=np.float64)
+        d = d / np.sqrt((d * d).sum())
+        # orthonormal basis perpendicular to the ray direction
+        up = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        bu = np.array(_cross(d, up))
+        bu /= np.sqrt((bu * bu).sum())
+        bv = np.array(_cross(d, bu))
+        span = np.linspace(-1.05 * radius, 1.05 * radius, self.res)
+        return RayGrid(center - d * (2.0 * radius), d, bu, bv, span)
 
 
 def cube_corner_cameras(res: int = 48) -> list:
@@ -248,70 +288,103 @@ class ScanError(ValueError):
     pass
 
 
-# Rays per block times triangles: about 256 KiB per float64 buffer, so the
-# six buffers of one block stay in cache.
+# Ray-triangle pairs per block: about 256 KiB per float64 buffer.
 _BLOCK_ELEMS = 1 << 15
+# Pad of a projected triangle box, per unit of scene scale times the
+# triangle's L**2 / |det|; see _first_hits.
+_PAD = 1e-6
 
 
-def _dot3(xs, ws, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """(x0*w0 + x1*w1) + x2*w2 into `out`, the order of a sum over a trailing
-    axis of three, so the result matches the (r, t, 3) broadcast form bit for
-    bit.  `out` may alias xs[0]."""
-    np.multiply(xs[0], ws[0], out=out)
-    for x, w in zip(xs[1:], ws[1:]):
-        out += np.multiply(x, w, out=tmp)
-    return out
+def _dot3(xs, ws):
+    """(x0*w0 + x1*w1) + x2*w2 for three coordinates each: the order of
+    numpy's sum over a trailing axis of three, so the result matches the
+    (rays, tris, 3) broadcast form bit for bit."""
+    return (xs[0] * ws[0] + xs[1] * ws[1]) + xs[2] * ws[2]
 
 
-def _first_hits(origins: np.ndarray, direction: np.ndarray, tris: np.ndarray) -> np.ndarray:
+def _cross(a, b) -> tuple:
+    """a x b by np.cross's formula, for three coordinates each."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _first_hits(rays: RayGrid, tris: np.ndarray) -> np.ndarray:
     """Nearest ray-triangle intersection distance per ray (inf if none).
 
-    Moller-Trumbore over the rays x triangles grid, in blocks of rays, with
-    one (rays, tris) buffer per coordinate: no (rays, tris, 3) array is
-    built.  qvec = tvec x e1 uses np.cross's formula, and every dot product
-    sums in _dot3's order.
+    Moller-Trumbore on only the (ray, triangle) pairs that can hit.  A ray
+    hits a triangle only inside the triangle's projection onto the (bu, bv)
+    plane, so each triangle with |det| > 1e-12 (no other ever hits) is
+    tested against the rays inside its projected bounding box, padded by
+
+        pad = 1e-6 * scale * L**2 / |det|,
+
+    where scale is the largest grid coordinate plus the largest vertex
+    coordinate about the grid's base (it bounds |tvec|), L is the
+    triangle's longest edge and |det| twice its projected area.  The pad is
+    safe because it covers everything that lets the hit test accept a ray
+    outside the box:
+    - the 1e-12 tolerance on u, v and u + v enlarges the triangle by a
+      factor 1 + 3e-12 about its centroid;
+    - rounding in u and v moves an edge of the accepted region by a few
+      ulps of scale, times the ratio of a 3-D edge to its projection or
+      the thinness of the projected triangle, and neither ratio exceeds
+      L**2 / |det|;
+    - ray origins and projected vertices are rounded to an ulp of scale.
+    L**2 / |det| >= 2 / sqrt(3) for every triangle, so the pad is at least
+    1.1e-6 * scale, eight orders of magnitude above these; a triangle seen
+    nearly edge-on gets a wider pad, up to the whole grid.
+
+    Each kept pair runs the arithmetic of the full rays x triangles grid:
+    qvec = tvec x e1 uses np.cross's formula, every dot product sums in
+    _dot3's order, and each ray keeps the exact minimum of its hits, so the
+    result is bit-identical to testing every pair.  The pairs are listed
+    triangle by triangle and run in blocks of _BLOCK_ELEMS.
     """
-    v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
-    pvec = np.cross(direction[None, :], e2)  # (t, 3)
-    det = (e1 * pvec).sum(axis=1)
-    ok_det = np.abs(det) > 1e-12
-    inv_det = np.where(ok_det, 1.0 / np.where(ok_det, det, 1.0), 0.0)
-    e1x, e1y, e1z = e1.T
-    n_rays = origins.shape[0]
-    block = max(1, _BLOCK_ELEMS // tris.shape[0])
-    bufs = np.empty((6, min(block, n_rays), tris.shape[0]))
-    nearest = np.empty(n_rays)
+    d, span = rays.direction, rays.span
+    res = span.shape[0]
+    nearest = np.full(res * res, np.inf)
+    corners = tris.transpose(1, 2, 0)  # (corner, coordinate, triangle)
+    v0 = corners[0]
+    e1 = corners[1] - v0
+    e2 = corners[2] - v0
+    pvec = _cross(d, e2)
+    det = _dot3(e1, pvec)
+    keep = np.abs(det) > 1e-12
+    if not keep.any():
+        return nearest
+    # Rows v0, pvec, e1, e2 (three each) and det; one column per kept triangle.
+    per_tri = np.vstack([v0, *pvec, e1, e2, det])[:, keep]
+    e1, e2, det = per_tri[6:9], per_tri[9:12], per_tri[12]
+    rel = corners[:, :, keep] - rays.base[:, None]
+    scale = np.abs(span).max() + np.abs(rel).max()
+    longest2 = np.maximum.reduce([(e * e).sum(axis=0) for e in (e1, e2, e2 - e1)])
+    pad = _PAD * scale * longest2 / np.abs(det)
+    proj = np.stack([rays.bu, rays.bv]) @ rel  # (corner, axis, triangle)
+    # Each triangle meets rays i0 <= i < i1 along bu and j0 <= j < j1 along bv.
+    i0, j0 = np.searchsorted(span, proj.min(axis=0) - pad, "left")
+    i1, j1 = np.searchsorted(span, proj.max(axis=0) + pad, "right")
+    per_tri[12] = 1.0 / det
+    width = j1 - j0
+    count = (i1 - i0) * width
+    end = np.cumsum(count)
+    start = end - count
+    first = i0 * res + j0
+    origins = np.ascontiguousarray(rays.origins.T)
+    total = int(end[-1])
     tol = 1e-12
-    for lo in range(0, n_rays, block):
-        rows = origins[lo : lo + block]
-        tx, ty, tz, u, qx, tmp = bufs[:, : rows.shape[0]]
-        for k, out in enumerate((tx, ty, tz)):
-            np.subtract.outer(rows[:, k], v0[:, k], out=out)
-        _dot3((tx, ty, tz), pvec.T, u, tmp)
-        u *= inv_det
-        # qvec = tvec x e1; qy is written over tz, then qz over tx.
-        np.multiply(ty, e1z, out=qx)
-        qx -= np.multiply(tz, e1y, out=tmp)
-        np.multiply(tx, e1z, out=tmp)
-        qy = np.multiply(tz, e1x, out=tz)
-        qy -= tmp
-        np.multiply(ty, e1x, out=tmp)
-        qz = np.multiply(tx, e1y, out=tx)
-        qz -= tmp
-        v = _dot3((qx, qy, qz), direction, ty, tmp)
-        v *= inv_det
-        t = _dot3((qx, qy, qz), e2.T, qx, tmp)
-        t *= inv_det
-        hit = (
-            ok_det[None, :]
-            & (u >= -tol)
-            & (v >= -tol)
-            & (u + v <= 1.0 + tol)
-            & (t > 1e-9)
-        )
-        nearest[lo : lo + block] = np.where(hit, t, np.inf).min(axis=1)
+    for lo in range(0, total, _BLOCK_ELEMS):
+        pair = np.arange(lo, min(lo + _BLOCK_ELEMS, total))
+        tri = np.searchsorted(end, pair, "right")
+        di, dj = np.divmod(pair - start[tri], width[tri])
+        ray = first[tri] + di * res + dj
+        g = np.take(per_tri, tri, axis=1)
+        inv_det = g[12]
+        tvec = np.take(origins, ray, axis=1) - g[0:3]
+        u = _dot3(tvec, g[3:6]) * inv_det
+        qvec = _cross(tvec, g[6:9])
+        v = _dot3(qvec, d) * inv_det
+        t = _dot3(qvec, g[9:12]) * inv_det
+        hit = (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > 1e-9)
+        np.minimum.at(nearest, ray[hit], t[hit])
     return nearest
 
 
@@ -331,21 +404,11 @@ def virtual_scan(mesh: Mesh, cameras: list) -> PointSet:
         raise ScanError("degenerate mesh")
     clouds = []
     for cam in cameras:
-        d = np.asarray(cam.direction, dtype=np.float64)
-        d = d / np.sqrt((d * d).sum())
-        # orthonormal basis perpendicular to the ray direction
-        up = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        bu = np.cross(d, up)
-        bu /= np.sqrt((bu * bu).sum())
-        bv = np.cross(d, bu)
-        span = np.linspace(-1.05 * radius, 1.05 * radius, cam.res)
-        uu, vv = np.meshgrid(span, span, indexing="ij")
-        grid = uu.reshape(-1, 1) * bu + vv.reshape(-1, 1) * bv
-        origins = center - d * (2.0 * radius) + grid
-        t = _first_hits(origins, d, tris)
+        rays = cam.rays(center, radius)
+        t = _first_hits(rays, tris)
         mask = np.isfinite(t)
         if mask.any():
-            clouds.append(origins[mask] + t[mask, None] * d)
+            clouds.append(rays.origins[mask] + t[mask, None] * rays.direction)
     if not clouds:
         raise ScanError("shape outside all frusta")
     return PointSet(np.concatenate(clouds))

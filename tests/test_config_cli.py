@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +19,8 @@ from scanmend.config import (
     validate_config,
 )
 from scanmend.gan import TrainingMode
-from scanmend.ply import read_ply
+from scanmend.ply import read_ply, write_ply
+from scanmend.pointset import PointSet
 
 
 # ---- config resolution ----
@@ -202,15 +205,43 @@ def test_seed_override_recorded(micro_run, tmp_path):
     assert all(resolved[s]["seed"] == 7 for s in ("dataset", "ae", "gan", "eval"))
 
 
-def test_lock_blocks_second_invocation(micro_run, capsys):
+def _assert_locked(micro_run, capsys, content):
     run, args = micro_run["run"], micro_run["args"]
     lock = run / "run.lock"
-    lock.write_text("12345\n")
+    lock.write_text(content)
     try:
         assert main(["sweep", *args]) == 1
         assert "locked" in capsys.readouterr().err
+        assert lock.read_text() == content  # left as it was
     finally:
         lock.unlink()
+
+
+def test_lock_blocks_second_invocation(micro_run, capsys):
+    _assert_locked(micro_run, capsys, f"{os.getpid()}\n")  # a live owner
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["not a pid\n", "", "0\n", "-1\n", "1e99\n", "99999999999999999999\n"],
+    ids=["text", "empty", "zero", "negative", "float", "huge"],
+)
+def test_lock_with_garbage_content_blocks(micro_run, capsys, content):
+    # Content that names no process cannot show the owner has exited.
+    _assert_locked(micro_run, capsys, content)
+
+
+def test_lock_of_exited_owner_is_taken_over(micro_run, capsys):
+    run, args = micro_run["run"], micro_run["args"]
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID names no process now
+    lock = run / "run.lock"
+    lock.write_text(f"{child.pid}\n")
+    assert main(["sweep", *args]) == 0
+    err = capsys.readouterr().err
+    assert f"taking over {lock} from process {child.pid}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not lock.exists()
 
 
 def test_missing_artifacts_are_distinct_errors(micro_run, tmp_path, capsys):
@@ -232,6 +263,16 @@ def test_malformed_ply_is_reported(micro_run, tmp_path, capsys):
     assert main(["complete", *micro_run["args"], "--input", str(bad_dir),
                  "--output", str(tmp_path / "out")]) == 1
     assert "malformed PLY" in capsys.readouterr().err
+
+
+def test_complete_rejects_wrong_point_count(micro_run, tmp_path, capsys):
+    in_dir = tmp_path / "five"
+    in_dir.mkdir()
+    write_ply(in_dir / "0000.ply", PointSet(np.zeros((5, 3))))
+    assert main(["complete", *micro_run["args"], "--input", str(in_dir),
+                 "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot complete 0000.ply: expected 16 points, got 5\n"
 
 
 def test_eval_name_mismatch_is_reported(micro_run, tmp_path, capsys):

@@ -19,9 +19,8 @@ from scanmend.distances import (
     chamfer,
     emd,
     hausdorff_directed,
-    hausdorff_directed_grad,
     hausdorff_symmetric,
-    soft_hausdorff_directed,
+    soft_hausdorff_batch,
 )
 from scanmend.nn.lossops import emd_loss
 from scanmend.nn.tensor import Tensor
@@ -183,6 +182,14 @@ def test_hausdorff_monotone_in_reference():
     assert hausdorff_directed(s, np.vstack([r, extra])) <= hausdorff_directed(s, r) + 1e-15
 
 
+def _soft_hausdorff(s, r, tau):
+    """Value and gradient in r of soft_hausdorff_batch on a batch of one."""
+    values, grads = soft_hausdorff_batch(
+        np.asarray(s, dtype=np.float64)[None], np.asarray(r, dtype=np.float64)[None], tau
+    )
+    return float(values[0]), grads[0]
+
+
 def test_soft_hausdorff_bound_and_convergence():
     rng = Rng(20)
     for _ in range(10):
@@ -190,14 +197,14 @@ def test_soft_hausdorff_bound_and_convergence():
         r = rng.uniform((40, 3))
         hard = hausdorff_directed(s, r)
         for tau in (0.05, 0.01, 0.001):
-            soft = soft_hausdorff_directed(s, r, tau)
+            soft, _ = _soft_hausdorff(s, r, tau)
             assert abs(soft - hard) <= tau * np.log(25 * 40) + 1e-12
 
 
 def test_soft_hausdorff_grad_example():
     # one scan point at origin, one reference point straight above it:
     # moving the reference up increases the distance at unit rate
-    g = hausdorff_directed_grad([[0.0, 0.0, 0.0]], [[0.0, 0.0, 2.0]], tau=0.01)
+    _, g = _soft_hausdorff([[0.0, 0.0, 0.0]], [[0.0, 0.0, 2.0]], tau=0.01)
     assert np.allclose(g, [[0.0, 0.0, 1.0]], atol=1e-12)
 
 
@@ -206,7 +213,7 @@ def test_soft_hausdorff_subset_bound():
     r = rng.uniform((20, 3))
     s = r[:8]  # hard value is exactly 0
     tau = 0.01
-    assert abs(soft_hausdorff_directed(s, r, tau)) <= tau * np.log(8 * 20)
+    assert abs(_soft_hausdorff(s, r, tau)[0]) <= tau * np.log(8 * 20)
 
 
 def test_soft_hausdorff_grad_finite_difference():
@@ -214,22 +221,20 @@ def test_soft_hausdorff_grad_finite_difference():
     s = rng.uniform((8, 3))
     r = rng.uniform((6, 3))
     tau = 0.05
-    g = hausdorff_directed_grad(s, r, tau)
+    _, g = _soft_hausdorff(s, r, tau)
     h = 1e-6
     for i in range(6):
         for c in range(3):
             rp, rm = r.copy(), r.copy()
             rp[i, c] += h
             rm[i, c] -= h
-            num = (
-                soft_hausdorff_directed(s, rp, tau) - soft_hausdorff_directed(s, rm, tau)
-            ) / (2 * h)
+            num = (_soft_hausdorff(s, rp, tau)[0] - _soft_hausdorff(s, rm, tau)[0]) / (2 * h)
             assert g[i, c] == pytest.approx(num, abs=1e-5)
 
 
 def test_soft_hausdorff_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
-        soft_hausdorff_directed([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], tau=0.0)
+        _soft_hausdorff([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], tau=0.0)
 
 
 def test_input_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanmend.ply import read_ply, read_xyz, write_ply, write_xyz
+from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
 from scanmend.rng import Rng
 
@@ -105,23 +105,3 @@ def test_ply_rejects_short_row(tmp_path):
     )
     with pytest.raises(ValueError, match="row 0"):
         read_ply(p)
-
-
-def test_xyz_round_trip(tmp_path):
-    pts = Rng(2).normal((20, 3))
-    p = tmp_path / "a.xyz"
-    write_xyz(p, PointSet(pts))
-    assert np.array_equal(read_xyz(p).points, pts)
-
-
-def test_xyz_skips_blank_lines_and_extra_columns(tmp_path):
-    p = tmp_path / "a.xyz"
-    p.write_text("1 2 3 9 9\n\n4 5 6\n")
-    assert np.array_equal(read_xyz(p).points, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_xyz_rejects_short_line(tmp_path):
-    p = tmp_path / "a.xyz"
-    p.write_text("1 2\n")
-    with pytest.raises(ValueError, match="fewer than 3"):
-        read_xyz(p)

@@ -1,9 +1,10 @@
 """Ray casting and farthest-point sampling against their broadcast forms.
 
-`synth._first_hits` and `pointset.farthest_point_indices` work one
-coordinate at a time in reused buffers.  The references below are the
-(rays, tris, 3) and (n, 3) broadcast forms they replaced; both must agree
-bit for bit, because every synthesized dataset is built from them.
+`synth._first_hits` tests only the ray-triangle pairs whose projected
+boxes meet, and `pointset.farthest_point_indices` works one coordinate at a
+time in reused buffers.  The references below are the (rays, tris, 3) and
+(n, 3) broadcast forms over every pair; both must agree bit for bit,
+because every synthesized dataset is built from them.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,9 +50,9 @@ def reference_fps(points, m, start):
     return selected
 
 
-def _assert_hits_match(origins, direction, tris):
-    got = synth._first_hits(origins, direction, tris)
-    want = reference_first_hits(origins, direction, tris)
+def _assert_hits_match(rays, tris):
+    got = synth._first_hits(rays, tris)
+    want = reference_first_hits(rays.origins, rays.direction, tris)
     assert got.tobytes() == want.tobytes()
     return got
 
@@ -73,42 +75,87 @@ def _direction(draw):
 
 
 @st.composite
-def _triangle(draw, direction):
-    v0, v1, v2 = draw(_vec), draw(_vec), draw(_vec)
-    kind = draw(st.sampled_from(["random", "point", "collinear", "parallel"]))
+def _camera_grid(draw):
+    cam = synth.Camera(direction=tuple(draw(_direction())), res=draw(st.integers(1, 9)))
+    return cam.rays(draw(_vec), draw(st.floats(0.1, 3.0)))
+
+
+@st.composite
+def _point(draw, rays, kind=None):
+    """A point in front of (or behind) the grid: on a ray origin, on a grid
+    line, anywhere near the grid, or outside it."""
+    span, res = rays.span, rays.span.shape[0]
+    half = 1.0 + abs(span[0])  # more than the grid's half-width
+    depth = draw(st.floats(-0.5, 5.0)) * half
+    kind = kind or draw(st.sampled_from(["node", "line", "near", "outside"]))
+    i, j = draw(st.integers(0, res - 1)), draw(st.integers(0, res - 1))
+    if kind == "node":
+        return rays.origins[i * res + j] + depth * rays.direction
+    a, b = (draw(st.floats(-1.2, 1.2)) * half for _ in range(2))
+    if kind == "line":
+        a = span[i]
+    elif kind == "outside":
+        a += draw(st.sampled_from([-3.0, 3.0])) * half
+    if draw(st.booleans()):
+        a, b = b, a
+    return rays.base + a * rays.bu + b * rays.bv + depth * rays.direction
+
+
+@st.composite
+def _triangle(draw, rays):
+    kind = draw(st.sampled_from(
+        ["random", "nodes", "point", "collinear", "parallel", "edge_on", "huge"]))
+    d = rays.direction
+    if kind == "nodes":  # every corner on a ray: edges along grid lines
+        return np.stack([draw(_point(rays, "node")) for _ in range(3)])
+    if kind == "huge":  # larger than the whole grid
+        size = draw(st.floats(3.0, 50.0)) * (1.0 + abs(rays.span[0]))
+        depth = draw(st.floats(0.5, 4.0)) * (1.0 + abs(rays.span[0]))
+        corners = [(-1.0, -1.0), (3.0, -1.0), (-1.0, 3.0)]
+        return np.stack([rays.base + size * (a * rays.bu + b * rays.bv) + depth * d
+                         for a, b in corners])
+    v0, v1, v2 = (draw(_point(rays)) for _ in range(3))
     if kind == "point":  # zero area, all corners equal
         v1 = v2 = v0
     elif kind == "collinear":  # zero area, corners on one line
         v2 = v0 + draw(st.floats(-2.0, 2.0)) * (v1 - v0)
     elif kind == "parallel":  # the triangle's plane contains the ray direction
-        v2 = v0 + draw(st.floats(0.1, 2.0)) * direction
+        v2 = v0 + draw(st.floats(0.1, 2.0)) * d
+    elif kind == "edge_on":
+        # Nearly edge-on: det = e1 . (d x e2) lands just below or above the
+        # 1e-12 cut.  v0 and v1 sit on rays, so rays run along the sliver.
+        v0, v1 = draw(_point(rays, "node")), draw(_point(rays, "node"))
+        w = draw(st.sampled_from([rays.bu, rays.bv]))
+        c = float(np.dot(v1 - v0, np.cross(d, w)))
+        if abs(c) > 1e-3:
+            target = draw(st.sampled_from([0.5, 0.99, 1.01, 2.0, 10.0, 1e3])) * 1e-12
+            v2 = v0 + draw(st.floats(-2.0, 2.0)) * d + (draw(st.sampled_from([-1, 1])) * target / c) * w
     return np.stack([v0, v1, v2])
 
 
 @st.composite
 def _scene(draw):
-    direction = draw(_direction())
-    tris = np.stack(draw(st.lists(_triangle(direction), min_size=1, max_size=8)))
+    rays = draw(_camera_grid())
+    tris = np.stack(draw(st.lists(_triangle(rays), min_size=1, max_size=6)))
     if draw(st.booleans()):  # a fan sharing vertex 0 and its edges
         hub = tris[0, 0]
         tris = np.concatenate([tris, np.stack([np.stack([hub, t[1], t[2]]) for t in tris])])
-    # Rays aimed through corners, edge midpoints and interior points of the
-    # triangles, plus free rays.
-    targets = [tri[i] for tri in tris for i in range(3)]
-    targets += [0.5 * (tri[i] + tri[(i + 1) % 3]) for tri in tris for i in range(3)]
-    targets += [tri.mean(axis=0) for tri in tris]
-    targets += draw(st.lists(_vec, max_size=6))
-    back = draw(st.floats(0.5, 4.0))
-    origins = np.stack(targets) - back * direction
-    return origins, direction, tris
+    return rays, tris
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(scene=_scene(), block_elems=st.sampled_from([1, 7, 64, synth._BLOCK_ELEMS]))
 def test_first_hits_bit_identical_to_broadcast_form(scene, block_elems):
-    # Small block sizes put block boundaries inside the ray grid.
+    # Small block sizes put block boundaries inside one triangle's rays.
     with mock.patch.object(synth, "_BLOCK_ELEMS", block_elems):
         _assert_hits_match(*scene)
+
+
+def _axis_grid(span):
+    """Rays along -z from z = 1 through (span[i], span[j], 0)."""
+    ex, ey = np.eye(3)[:2]
+    return synth.RayGrid(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), ex, ey,
+                         np.asarray(span, dtype=np.float64))
 
 
 def test_first_hits_rays_through_shared_vertex_and_edge_hit():
@@ -118,26 +165,66 @@ def test_first_hits_rays_through_shared_vertex_and_edge_hit():
         [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
          [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]]
     )
-    origins = np.array([[0.5, 0.5, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0]])
-    t = _assert_hits_match(origins, np.array([0.0, 0.0, -1.0]), tris)
-    assert t[:3].tolist() == [1.0, 1.0, 1.0]
-    assert t[3] == np.inf
+    t = _assert_hits_match(_axis_grid([0.0, 0.5, 1.0, 2.0]), tris).reshape(4, 4)
+    assert t[[0, 1, 2], [0, 1, 2]].tolist() == [1.0, 1.0, 1.0]
+    assert t[3, 3] == np.inf
+
+
+def test_first_hits_rays_along_box_edges():
+    # A square whose corners and edges lie on rays of a camera grid, seen
+    # straight on and at a slant: every ray on its border grazes an edge.
+    mesh = synth.build_mesh("box", {"hx": 0.5, "hy": 0.5, "hz": 0.5})
+    rays = _axis_grid(np.linspace(-1.0, 1.0, 9))
+    t = _assert_hits_match(rays, mesh.triangles()).reshape(9, 9)
+    assert np.isfinite(t[2:7, 2:7]).all()
+    assert np.isinf(np.delete(np.delete(t, range(2, 7), 0), range(2, 7), 1)).all()
+    for res in (7, 9, 17, 33):
+        for cam in synth.cube_corner_cameras(res):
+            _assert_hits_match(cam.rays(np.zeros(3), 0.5 / 1.05), mesh.triangles())
+
+
+def test_first_hits_nearly_edge_on_sliver():
+    # Edge v0-v1 runs almost along the rays and v2 stops just short of a
+    # ray on the grid line through v0.  det sits a little above the 1e-12
+    # cut, so rounding in v, about ulp * |tvec| * |e1| / det, can accept
+    # that ray although it lies beyond the tip by far more than 1e-6 of
+    # the scene: the pad has to grow with L**2 / |det|.
+    rng = np.random.default_rng(0)
+    beyond_tip = 0
+    for _ in range(300):
+        d = rng.normal(size=3)
+        rays = synth.Camera(tuple(d / np.sqrt((d * d).sum())), res=3).rays(np.zeros(3), 1.0)
+        v0 = rays.base - rays.bv + 2.0 * rays.direction
+        v2 = rays.base + (rays.span[2] - 10 ** rng.uniform(-7, -3)) * rays.bv + 2.0 * rays.direction
+        v1 = v0 + 10 ** rng.uniform(-12.3, -11.5) * rays.bu + 2.0 * rays.direction
+        t = _assert_hits_match(rays, np.stack([v0, v1, v2])[None])
+        beyond_tip += bool(np.isfinite(t[1 * 3 + 2]))
+    assert beyond_tip > 0
+
+
+def _camera_rays(mesh, res):
+    center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
+    radius = float(np.sqrt(((mesh.vertices - center) ** 2).sum(axis=1).max()))
+    return [cam.rays(center, radius) for cam in synth.cube_corner_cameras(res)]
 
 
 def test_first_hits_every_family_at_scan_resolution():
     for i, family in enumerate(synth.FAMILIES):
         mesh = synth.build_mesh(family, synth.sample_params(family, Rng(40 + i)))
-        tris = mesh.triangles()
-        center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
-        for d in (_DIAGONALS[i], _AXES[i]):
-            span = np.linspace(-1.5, 1.5, 32)
-            uu, vv = np.meshgrid(span, span, indexing="ij")
-            bu = np.cross(d, [0.0, 0.0, 1.0] if abs(d[2]) < 0.9 else [1.0, 0.0, 0.0])
-            bu /= np.sqrt((bu * bu).sum())
-            bv = np.cross(d, bu)
-            origins = center - 3.0 * d + uu.reshape(-1, 1) * bu + vv.reshape(-1, 1) * bv
-            t = _assert_hits_match(origins, d, tris)
-            assert np.isfinite(t).any()
+        hits = [_assert_hits_match(rays, mesh.triangles()) for rays in _camera_rays(mesh, 32)]
+        assert all(np.isfinite(t).any() for t in hits)
+
+
+def test_scan_res_one_and_two():
+    # With one or two rays per side every ray runs along a corner of the
+    # square around the bounding sphere, so none can hit the mesh.
+    mesh = synth.build_mesh("chair5", synth.sample_params("chair5", Rng(3)))
+    for res in (1, 2):
+        for rays in _camera_rays(mesh, res):
+            assert np.isinf(_assert_hits_match(rays, mesh.triangles())).all()
+        with pytest.raises(synth.ScanError, match="outside all frusta"):
+            synth.virtual_scan(mesh, synth.cube_corner_cameras(res))
+    assert synth.virtual_scan(mesh, synth.cube_corner_cameras(3)).n > 0
 
 
 _cloud_coord = st.integers(-2, 2).map(float)

@@ -100,6 +100,13 @@ def test_scan_miss_and_degenerate_raise():
         virtual_scan(flat, [])
 
 
+@pytest.mark.parametrize("res", [0, -3, 1.5, 2.0, "4", True, None])
+def test_camera_rejects_bad_res(res):
+    with pytest.raises(ValueError, match=r"^camera res must be an int >= 1, got .*$"):
+        Camera(direction=(0.0, 0.0, -1.0), res=res)
+    assert Camera(direction=(0.0, 0.0, -1.0), res=np.int64(1)).res == 1
+
+
 def test_generate_shape_contract():
     mesh, cloud = generate_shape("box", None, 64, Rng(3), scan_res=24)
     assert cloud.n == 64
