@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .autoencoder import (
     save_autoencoder,
     train_ae,
 )
-from .config import ConfigError, PRESETS, load_config, override_seed, resolve_config
+from .config import SCHEMA, ConfigError, PRESETS, load_config, override_seed, resolve_config
 from .gan import (
     GanTrainConfig,
     TrainingMode,
@@ -71,17 +72,10 @@ def _threads() -> int:
 
 
 def _paths(cfg: dict, run_dir: str) -> dict:
+    """Each artifact directory: its config override, else its own name,
+    taken relative to the run directory unless absolute."""
     over = cfg.get("paths", {})
-
-    def resolve(key: str, default: str) -> str:
-        val = over.get(key, default)
-        return val if os.path.isabs(val) else os.path.join(run_dir, val)
-
-    return {
-        "dataset": resolve("dataset", "dataset"),
-        "checkpoints": resolve("checkpoints", "checkpoints"),
-        "reports": resolve("reports", "reports"),
-    }
+    return {key: os.path.join(run_dir, over.get(key, key)) for key in SCHEMA["paths"]}
 
 
 def _dead_lock_owner(lock_path: str) -> int | None:
@@ -143,13 +137,6 @@ def run_lock(run_dir: str):
             os.remove(lock_path)
 
 
-def _write_resolved_config(cfg: dict, run_dir: str) -> None:
-    path = os.path.join(run_dir, "config.resolved.json")
-    with open(path, "w") as f:
-        json.dump(cfg, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return "%.10g" % x
@@ -196,31 +183,26 @@ def _gan_path(paths: dict, mode: str) -> str:
 
 
 def _load_ae(paths: dict, target: str):
+    """An autoencoder and the content hash of its checkpoint file."""
     path = _require_checkpoint(_ae_path(paths, target), f"run train-ae --target {target} first")
-    return load_autoencoder(path)[0], path
+    return load_autoencoder(path)[0], content_hash(path)
 
 
-def _load_pipeline(cfg: dict, paths: dict, mode: str):
+def _load_pipeline(paths: dict, mode: str):
     """GAN checkpoint + the autoencoders it was trained against."""
     gan_file = _require_checkpoint(_gan_path(paths, mode), f"run train-gan --mode {mode} first")
     bundle = load_gan(gan_file)
-    clean_ae, clean_path = _load_ae(paths, "clean")
-    expect = bundle.extra.get("clean_ae_hash")
-    if expect and expect != content_hash(clean_path):
-        raise CliError(
-            f"checkpoint mismatch: {gan_file} was trained against a different"
-            f" clean autoencoder than {clean_path}"
-        )
-    partial_ae = None
-    if mode_settings(bundle.extra.get("mode", mode)).latent_source == "partial":
-        partial_ae, partial_path = _load_ae(paths, "partial")
-        expect = bundle.extra.get("partial_ae_hash")
-        if expect and expect != content_hash(partial_path):
+    uses_partial = mode_settings(bundle.extra.get("mode", mode)).latent_source == "partial"
+    aes = {}
+    for target in ("clean", "partial") if uses_partial else ("clean",):
+        aes[target], digest = _load_ae(paths, target)
+        expect = bundle.extra.get(f"{target}_ae_hash")
+        if expect and expect != digest:
             raise CliError(
                 f"checkpoint mismatch: {gan_file} was trained against a different"
-                f" partial autoencoder than {partial_path}"
+                f" {target} autoencoder than {_ae_path(paths, target)}"
             )
-    return assemble_pipeline(bundle, clean_ae, partial_ae)
+    return assemble_pipeline(bundle, aes["clean"], aes.get("partial"))
 
 
 def _read_ply_dir(d: str) -> tuple:
@@ -239,22 +221,56 @@ def _read_ply_dir(d: str) -> tuple:
     return names, clouds
 
 
+def _from_section(cls, section: dict, **overrides):
+    """Build dataclass `cls` from the config keys named like its fields."""
+    kwargs = {f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section}
+    return cls(**{**kwargs, **overrides})
+
+
+def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, gan_loss: str, aes: dict):
+    """Train one mode's latent GAN, then save its checkpoint and loss curve.
+
+    `aes` maps "clean", and "partial" where the mode encodes partial
+    shapes, to an (autoencoder, checkpoint hash) pair.
+    """
+    g = cfg["gan"]
+    settings = mode_settings(mode)
+    clean_ae, clean_hash = aes["clean"]
+    partial_ae, partial_hash = aes["partial"] if settings.latent_source == "partial" else (None, None)
+    result = train_gan(
+        dataset.clean_train,
+        dataset.partial_train,
+        mode,
+        _from_section(GanTrainConfig, g, gan_loss=gan_loss),
+        clean_ae=clean_ae,
+        partial_ae=partial_ae,
+        partial_gt=dataset.partial_train_gt if settings.recon_target == "gt" else None,
+    )
+    out = _gan_path(paths, mode.value)
+    os.makedirs(paths["checkpoints"], exist_ok=True)
+    save_gan(
+        out,
+        result,
+        seed=g["seed"],
+        clean_ae_hash=clean_hash,
+        partial_ae_hash=partial_hash,
+        gan_loss=gan_loss,
+    )
+    _write_csv(
+        os.path.join(paths["reports"], f"gan_{mode.value}_loss.csv"),
+        ["epoch", "L_F", "L_G", "hard_HL", "adv_term"],
+        [[r["epoch"], r["L_F"], r["L_G"], r["hard_HL"], r["adv_term"]] for r in result.curves],
+    )
+    return result, out
+
+
 # ---- subcommands ----
 
 
 def cmd_synth(cfg: dict, run_dir: str) -> int:
     d = cfg["dataset"]
     r = tuple(d["r"]) if isinstance(d["r"], list) else d["r"]
-    ds_cfg = DatasetConfig(
-        families=tuple(d["families"]),
-        n=d["n"],
-        total=d["total"],
-        train_fraction=d["train_fraction"],
-        r=r,
-        sigma=d["sigma"],
-        seed=d["seed"],
-        scan_resolution=d["scan_resolution"],
-    )
+    ds_cfg = _from_section(DatasetConfig, d, families=tuple(d["families"]), r=r)
     dataset = make_dataset(ds_cfg, threads=_threads())
     paths = _paths(cfg, run_dir)
     save_dataset(dataset, paths["dataset"])
@@ -276,10 +292,7 @@ def cmd_train_ae(cfg: dict, run_dir: str, target: str = "clean") -> int:
         raise CliError(f"dataset has no {target}_train shapes to train on")
     a = cfg["ae"]
     spec = AutoencoderSpec(n=dataset.manifest["n"], k=a["k"], linear=a["linear"])
-    tcfg = AeTrainConfig(
-        lr=a["lr"], beta1=a["beta1"], batch_size=a["batch_size"], epochs=a["epochs"], seed=a["seed"]
-    )
-    ae, losses = train_ae(clouds, spec, tcfg)
+    ae, losses = train_ae(clouds, spec, _from_section(AeTrainConfig, a))
     out = _ae_path(paths, target)
     os.makedirs(paths["checkpoints"], exist_ok=True)
     save_autoencoder(out, ae, seed=a["seed"])
@@ -302,47 +315,10 @@ def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None, gan_loss: st
     dataset = _load_dataset(paths)
     g = cfg["gan"]
     mode = TrainingMode(mode or g["mode"])
-    gan_loss = gan_loss or g["gan_loss"]
-    clean_ae, clean_path = _load_ae(paths, "clean")
-    settings = mode_settings(mode)
-    partial_ae = partial_path = None
-    if settings.latent_source == "partial":
-        partial_ae, partial_path = _load_ae(paths, "partial")
-    partial_gt = dataset.partial_train_gt if settings.recon_target == "gt" else None
-    tcfg = GanTrainConfig(
-        lr=g["lr"],
-        beta1=g["beta1"],
-        batch_size=g["batch_size"],
-        epochs=g["epochs"],
-        seed=g["seed"],
-        tau=g["tau"],
-        gan_loss=gan_loss,
-        lr_regression=g.get("lr_regression"),
-    )
-    result = train_gan(
-        dataset.clean_train,
-        dataset.partial_train,
-        mode,
-        tcfg,
-        clean_ae=clean_ae,
-        partial_ae=partial_ae,
-        partial_gt=partial_gt,
-    )
-    out = _gan_path(paths, mode.value)
-    os.makedirs(paths["checkpoints"], exist_ok=True)
-    save_gan(
-        out,
-        result,
-        seed=g["seed"],
-        clean_ae_hash=content_hash(clean_path),
-        partial_ae_hash=content_hash(partial_path) if partial_path else None,
-        gan_loss=gan_loss,
-    )
-    _write_csv(
-        os.path.join(paths["reports"], f"gan_{mode.value}_loss.csv"),
-        ["epoch", "L_F", "L_G", "hard_HL", "adv_term"],
-        [[r["epoch"], r["L_F"], r["L_G"], r["hard_HL"], r["adv_term"]] for r in result.curves],
-    )
+    aes = {"clean": _load_ae(paths, "clean")}
+    if mode_settings(mode).latent_source == "partial":
+        aes["partial"] = _load_ae(paths, "partial")
+    result, out = _train_gan_mode(cfg, paths, dataset, mode, gan_loss or g["gan_loss"], aes)
     last = result.curves[-1]
     note = " (diverged, restored last finite snapshot)" if result.diverged else ""
     print(
@@ -356,7 +332,7 @@ def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None, gan_loss: st
 def cmd_complete(cfg: dict, run_dir: str, input_dir: str, output_dir: str, mode: str | None = None) -> int:
     paths = _paths(cfg, run_dir)
     mode = TrainingMode(mode or cfg["gan"]["mode"]).value
-    pipeline = _load_pipeline(cfg, paths, mode)
+    pipeline = _load_pipeline(paths, mode)
     names, clouds = _read_ply_dir(input_dir)
     os.makedirs(output_dir, exist_ok=True)
     for name, cloud in zip(names, clouds):
@@ -409,12 +385,11 @@ def cmd_sweep(cfg: dict, run_dir: str, mode: str | None = None) -> int:
     if dataset.clean_test.shape[0] == 0:
         raise CliError("dataset has no test shapes to sweep over")
     mode = TrainingMode(mode or cfg["gan"]["mode"]).value
-    pipeline = _load_pipeline(cfg, paths, mode)
-    clean_ae, _ = _load_ae(paths, "clean")
+    pipeline = _load_pipeline(paths, mode)
     e = cfg["eval"]
     rows = incompleteness_sweep(
         pipeline,
-        clean_ae,
+        pipeline.clean_ae,
         dataset.clean_test,
         e["r_sweep"],
         sigma=cfg["dataset"]["sigma"],
@@ -448,47 +423,12 @@ def cmd_ablate(cfg: dict, run_dir: str) -> int:
     for target in ("clean", "partial"):
         if not os.path.isfile(_ae_path(paths, target)):
             cmd_train_ae(cfg, run_dir, target)
-    clean_ae, clean_path = _load_ae(paths, "clean")
-    partial_ae, partial_path = _load_ae(paths, "partial")
-    g, e = cfg["gan"], cfg["eval"]
-    tcfg = GanTrainConfig(
-        lr=g["lr"],
-        beta1=g["beta1"],
-        batch_size=g["batch_size"],
-        epochs=g["epochs"],
-        seed=g["seed"],
-        tau=g["tau"],
-        gan_loss=g["gan_loss"],
-        lr_regression=g.get("lr_regression"),
-    )
+    aes = {target: _load_ae(paths, target) for target in ("clean", "partial")}
     table = []
     for mode in TrainingMode:
-        settings = mode_settings(mode)
-        uses_partial = settings.latent_source == "partial"
-        result = train_gan(
-            dataset.clean_train,
-            dataset.partial_train,
-            mode,
-            tcfg,
-            clean_ae=clean_ae,
-            partial_ae=partial_ae if uses_partial else None,
-            partial_gt=dataset.partial_train_gt if settings.recon_target == "gt" else None,
-        )
-        save_gan(
-            _gan_path(paths, mode.value),
-            result,
-            seed=g["seed"],
-            clean_ae_hash=content_hash(clean_path),
-            partial_ae_hash=content_hash(partial_path) if uses_partial else None,
-            gan_loss=g["gan_loss"],
-        )
-        _write_csv(
-            os.path.join(paths["reports"], f"gan_{mode.value}_loss.csv"),
-            ["epoch", "L_F", "L_G", "hard_HL", "adv_term"],
-            [[r["epoch"], r["L_F"], r["L_G"], r["hard_HL"], r["adv_term"]] for r in result.curves],
-        )
+        result, _ = _train_gan_mode(cfg, paths, dataset, mode, cfg["gan"]["gan_loss"], aes)
         completions = result.pipeline.complete_batch(dataset.partial_test)
-        report = evaluate_completions(completions, dataset.clean_test, eps=e["eps"])
+        report = evaluate_completions(completions, dataset.clean_test, eps=cfg["eval"]["eps"])
         agg = report.aggregate
         table.append([mode.value] + [agg[c] for c in report.COLUMNS])
         print(
@@ -577,7 +517,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = override_seed(cfg, args.seed)
         with run_lock(args.run):
-            _write_resolved_config(cfg, args.run)
+            _write_json(os.path.join(args.run, "config.resolved.json"), cfg)
             return _dispatch(args, cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .gan import TrainingMode
 from .synth import FAMILIES
@@ -23,14 +24,12 @@ class ConfigError(ValueError):
     pass
 
 
-_ALL_FAMILIES = ["box", "cylinder", "ellipsoid", "table4", "chair5", "lampoid"]
-
 # Reference-scale settings: full point count and latent width, original
 # optimizer values and epoch budgets.
 _PAPER_SCALE = {
     "version": CONFIG_VERSION,
     "dataset": {
-        "families": _ALL_FAMILIES,
+        "families": list(FAMILIES),
         "n": 2048,
         "total": 1000,
         "train_fraction": 0.9,
@@ -100,10 +99,101 @@ PRESETS = {
 }
 
 _MODES = [m.value for m in TrainingMode]
+_ABSENT = object()  # stands for a key its section leaves out
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number usable as a setting: not a boolean, and finite."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _int_from(lo: int):
+    return lambda v: _is_int(v) and v >= lo
+
+
+def _positive(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+def _optional(ok):
+    """A key that may be absent; a present value must still pass `ok`."""
+    return lambda v: v is _ABSENT or ok(v)
+
+
+def _fraction(v) -> bool:
+    return _is_num(v) and 0.0 <= v < 1.0
+
+
+def _r_ok(r) -> bool:
+    if isinstance(r, list):
+        return len(r) == 2 and all(_is_num(v) for v in r) and 0.0 <= r[0] <= r[1] < 1.0
+    return _fraction(r)
+
+
+def _families_ok(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(f, str) and f in FAMILIES for f in v
+    )
+
+
+_POSITIVE = (_positive, "> 0")
+_BETA1 = (_fraction, "in [0, 1)")
+_SEED = (_is_int, "an int")
+_COUNT = (_int_from(1), "an int >= 1")
+_PATH = (_optional(lambda v: isinstance(v, str) and v != ""), "a non-empty string")
+
+# section -> key -> (predicate on the value, text describing a legal value).
+# Every key is required unless its predicate accepts _ABSENT.
+SCHEMA = {
+    "dataset": {
+        "families": (
+            _families_ok,
+            f"a non-empty list with no unknown shape family (known: {', '.join(FAMILIES)})",
+        ),
+        "n": (_int_from(8), "an int >= 8"),
+        "total": (_int_from(2), "an int >= 2"),
+        "train_fraction": (lambda v: _is_num(v) and 0.0 < v < 1.0, "in (0, 1)"),
+        "r": (_r_ok, "in [0, 1) or a range [lo, hi] within [0, 1)"),
+        "sigma": (lambda v: _is_num(v) and v >= 0.0, ">= 0"),
+        "scan_resolution": (_int_from(8), "an int >= 8"),
+        "seed": _SEED,
+    },
+    "ae": {
+        "k": _COUNT,
+        "lr": _POSITIVE,
+        "beta1": _BETA1,
+        "batch_size": _COUNT,
+        "epochs": _COUNT,
+        "seed": _SEED,
+        "linear": (lambda v: isinstance(v, bool), "a boolean"),
+    },
+    "gan": {
+        "lr": _POSITIVE,
+        # absent or null: use gan.lr
+        "lr_regression": (_optional(lambda v: v is None or _positive(v)), "> 0 or null"),
+        "beta1": _BETA1,
+        "batch_size": _COUNT,
+        "epochs": _COUNT,
+        "mode": (lambda v: v in _MODES, f"one of {_MODES}"),
+        "tau": _POSITIVE,
+        "gan_loss": (lambda v: v in ("ls", "log"), "'ls' or 'log'"),
+        "seed": _SEED,
+    },
+    "eval": {
+        "eps": _POSITIVE,
+        "jsd_grid": (_int_from(2), "an int >= 2"),
+        "r_sweep": (
+            lambda v: isinstance(v, list) and len(v) > 0 and all(_fraction(x) for x in v),
+            "a non-empty list of fractions in [0, 1)",
+        ),
+        "seed": _SEED,
+    },
+    "paths": {"dataset": _PATH, "checkpoints": _PATH, "reports": _PATH},
+}
 
 
 def _chk(cond: bool, msg: str) -> None:
@@ -111,102 +201,19 @@ def _chk(cond: bool, msg: str) -> None:
         raise ConfigError(f"config schema violation: {msg}")
 
 
-_SECTION_KEYS = {
-    "dataset": {
-        "families",
-        "n",
-        "total",
-        "train_fraction",
-        "r",
-        "sigma",
-        "scan_resolution",
-        "seed",
-    },
-    "ae": {"k", "lr", "beta1", "batch_size", "epochs", "seed", "linear"},
-    "gan": {
-        "lr",
-        "lr_regression",
-        "beta1",
-        "batch_size",
-        "epochs",
-        "mode",
-        "tau",
-        "gan_loss",
-        "seed",
-    },
-    "eval": {"eps", "jsd_grid", "r_sweep", "seed"},
-    "paths": {"dataset", "checkpoints", "reports"},
-}
-
-
 def validate_config(cfg: dict) -> None:
     _chk(isinstance(cfg, dict), "config must be a JSON object")
-    unknown = set(cfg) - ({"version", "preset"} | set(_SECTION_KEYS))
+    unknown = set(cfg) - {"version", "preset", *SCHEMA}
     _chk(not unknown, f"unknown top-level keys {sorted(unknown)}")
-    _chk(cfg.get("version") == CONFIG_VERSION, f"version must be {CONFIG_VERSION}")
-    for section, allowed in _SECTION_KEYS.items():
+    version = cfg.get("version")
+    _chk(_is_int(version) and version == CONFIG_VERSION, f"version must be {CONFIG_VERSION}")
+    for section, rules in SCHEMA.items():
         sec = cfg.get(section, {})
         _chk(isinstance(sec, dict), f"section {section!r} must be an object")
-        bad = set(sec) - allowed
+        bad = set(sec) - set(rules)
         _chk(not bad, f"unknown keys in {section!r}: {sorted(bad)}")
-    d = cfg["dataset"]
-    _chk(
-        isinstance(d["families"], list) and d["families"], "dataset.families must be non-empty"
-    )
-    for fam in d["families"]:
-        _chk(fam in FAMILIES, f"unknown shape family {fam!r}")
-    _chk(isinstance(d["n"], int) and d["n"] >= 8, "dataset.n must be an int >= 8")
-    _chk(isinstance(d["total"], int) and d["total"] >= 2, "dataset.total must be an int >= 2")
-    _chk(
-        _is_num(d["train_fraction"]) and 0.0 < d["train_fraction"] < 1.0,
-        "dataset.train_fraction must be in (0, 1)",
-    )
-    r = d["r"]
-    if isinstance(r, list):
-        _chk(
-            len(r) == 2 and all(_is_num(v) for v in r) and 0.0 <= r[0] <= r[1] < 1.0,
-            "dataset.r range must be [lo, hi] within [0, 1)",
-        )
-    else:
-        _chk(_is_num(r) and 0.0 <= r < 1.0, "dataset.r must be in [0, 1)")
-    _chk(_is_num(d["sigma"]) and d["sigma"] >= 0.0, "dataset.sigma must be >= 0")
-    _chk(
-        isinstance(d["scan_resolution"], int) and d["scan_resolution"] >= 8,
-        "dataset.scan_resolution must be an int >= 8",
-    )
-    a = cfg["ae"]
-    _chk(isinstance(a["k"], int) and a["k"] >= 1, "ae.k must be a positive int")
-    _chk(_is_num(a["lr"]) and a["lr"] > 0, "ae.lr must be > 0")
-    _chk(_is_num(a["beta1"]) and 0.0 <= a["beta1"] < 1.0, "ae.beta1 must be in [0, 1)")
-    _chk(isinstance(a["batch_size"], int) and a["batch_size"] >= 1, "ae.batch_size must be >= 1")
-    _chk(isinstance(a["epochs"], int) and a["epochs"] >= 1, "ae.epochs must be >= 1")
-    _chk(isinstance(a["linear"], bool), "ae.linear must be a boolean")
-    g = cfg["gan"]
-    _chk(g["mode"] in _MODES, f"gan.mode must be one of {_MODES}")
-    _chk(g["gan_loss"] in ("ls", "log"), "gan.gan_loss must be 'ls' or 'log'")
-    _chk(_is_num(g["lr"]) and g["lr"] > 0, "gan.lr must be > 0")
-    lr_reg = g.get("lr_regression")  # None or absent: use gan.lr
-    _chk(
-        lr_reg is None or (_is_num(lr_reg) and lr_reg > 0),
-        "gan.lr_regression must be > 0 or null",
-    )
-    _chk(_is_num(g["beta1"]) and 0.0 <= g["beta1"] < 1.0, "gan.beta1 must be in [0, 1)")
-    _chk(isinstance(g["batch_size"], int) and g["batch_size"] >= 1, "gan.batch_size must be >= 1")
-    _chk(isinstance(g["epochs"], int) and g["epochs"] >= 1, "gan.epochs must be >= 1")
-    _chk(_is_num(g["tau"]) and g["tau"] > 0, "gan.tau must be > 0")
-    e = cfg["eval"]
-    _chk(_is_num(e["eps"]) and e["eps"] > 0, "eval.eps must be > 0")
-    _chk(isinstance(e["jsd_grid"], int) and e["jsd_grid"] >= 2, "eval.jsd_grid must be >= 2")
-    _chk(
-        isinstance(e["r_sweep"], list)
-        and e["r_sweep"]
-        and all(_is_num(v) and 0.0 <= v < 1.0 for v in e["r_sweep"]),
-        "eval.r_sweep must be a non-empty list of fractions in [0, 1)",
-    )
-    for section in ("dataset", "ae", "gan", "eval"):
-        _chk(isinstance(cfg[section]["seed"], int), f"{section}.seed must be an int")
-    for key, val in cfg["paths"].items():
-        _chk(isinstance(val, str) and val, f"paths.{key} must be a non-empty string")
+        for key, (ok, text) in rules.items():
+            _chk(ok(sec.get(key, _ABSENT)), f"{section}.{key} must be {text}")
 
 
 def _deep_merge(base: dict, over: dict) -> dict:
@@ -225,10 +232,11 @@ def resolve_config(raw: dict | None = None, preset: str | None = None) -> dict:
     The preset comes from `raw["preset"]`, the `preset` argument, or
     "desk-scale", in that order of preference.
     """
-    raw = copy.deepcopy(raw or {})
-    name = raw.pop("preset", None) or preset or "desk-scale"
-    if name not in PRESETS:
-        raise ConfigError(f"config schema violation: unknown preset {name!r}")
+    raw = {} if raw is None else copy.deepcopy(raw)
+    _chk(isinstance(raw, dict), "config must be a JSON object")
+    name = raw.pop("preset", preset or "desk-scale")
+    _chk(isinstance(name, str), f"preset must be a string, got {name!r}")
+    _chk(name in PRESETS, f"unknown preset {name!r}")
     cfg = _deep_merge(PRESETS[name], raw)
     validate_config(cfg)
     return cfg
@@ -238,7 +246,7 @@ def load_config(path, preset: str | None = None) -> dict:
     try:
         with open(path) as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config schema violation: {path} is not valid JSON ({e})") from e
     return resolve_config(raw, preset)
 
@@ -246,6 +254,7 @@ def load_config(path, preset: str | None = None) -> dict:
 def override_seed(cfg: dict, seed: int) -> dict:
     """Set every section seed to the same value (the --seed flag)."""
     out = copy.deepcopy(cfg)
-    for section in ("dataset", "ae", "gan", "eval"):
-        out[section]["seed"] = seed
+    for section, rules in SCHEMA.items():
+        if "seed" in rules:
+            out[section]["seed"] = seed
     return out

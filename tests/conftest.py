@@ -1,16 +1,14 @@
 """Shared test environment.
 
 BLAS thread pools are pinned to one thread before numpy loads so that the
-timed acceptance criteria measure single-core behavior; dataset synthesis
-still fans out across Python threads (the workers release the GIL inside
-vectorized kernels).
+timed acceptance criteria measure single-core behavior.  Dataset synthesis
+runs serially unless a test sets SCANMEND_THREADS itself.
 """
 
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-os.environ.setdefault("SCANMEND_THREADS", "4")
 
 
 def pytest_collection_modifyitems(items):

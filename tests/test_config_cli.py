@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanmend import cli
 from scanmend.cli import main
 from scanmend.config import (
+    SCHEMA,
     ConfigError,
     PRESETS,
     load_config,
@@ -21,6 +24,7 @@ from scanmend.config import (
 from scanmend.gan import TrainingMode
 from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
+from scanmend.synth import FAMILIES
 
 
 # ---- config resolution ----
@@ -76,11 +80,91 @@ def test_overlay_and_preset_precedence():
         ({"paths": {"reports": ""}}, "paths.reports"),
         ({"gan": {"lr_regression": 0}}, "gan.lr_regression"),
         ({"gan": {"lr_regression": "fast"}}, "gan.lr_regression"),
+        ({"dataset": {"families": [{}]}}, "unknown shape family"),
+        ({"dataset": {"families": [["chair5"]]}}, "unknown shape family"),
+        ({"preset": ["x"]}, "preset must be a string"),
+        ({"preset": []}, "preset must be a string"),
+        ({"preset": 0}, "preset must be a string"),
+        ({"ae": {"k": True}}, "ae.k"),
+        ({"ae": {"batch_size": True}}, "ae.batch_size"),
+        ({"dataset": {"seed": True}}, "dataset.seed"),
+        ({"ae": {"seed": True}}, "ae.seed"),
+        ({"gan": {"seed": True}}, "gan.seed"),
+        ({"eval": {"seed": True}}, "eval.seed"),
+        ({"version": True}, "version"),
+        ({"ae": {"lr": float("inf")}}, "ae.lr"),
+        ({"dataset": {"sigma": float("inf")}}, "dataset.sigma"),
+        ({"eval": {"eps": float("inf")}}, "eval.eps"),
+        ({"gan": {"lr": float("inf")}}, "gan.lr"),
+        ({"gan": {"lr_regression": float("inf")}}, "gan.lr_regression"),
+        ({"gan": {"tau": float("nan")}}, "gan.tau"),
     ],
 )
 def test_validation_rejects_bad_values(patch, msg):
     with pytest.raises(ConfigError, match=msg):
         resolve_config(patch)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dataset": {"families": [{}]}}',
+        '{"preset": ["x"]}',
+        '{"ae": {"batch_size": true}}',
+        '{"ae": {"lr": Infinity}}',
+        '[1, 2]',
+    ],
+)
+def test_bad_config_file_is_one_line_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["synth", "--run", str(tmp_path / "r"), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config schema violation: ") and err.count("\n") == 1
+
+
+_LEAF = (
+    st.sampled_from([None, True, False, 0, 1, -1, 0.5, float("inf"), float("nan"), "", [], {}])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([*FAMILIES, *(m.value for m in TrainingMode), "ls", "log", *PRESETS])
+)
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Where an overlay may put a value: every schema key, whole sections, and
+# unknown names at both levels.
+_PLACES = (
+    [(section, key) for section, rules in SCHEMA.items() for key in rules]
+    + [(name, None) for name in (*SCHEMA, "preset", "version", "bogus")]
+    + [(section, "bogus") for section in SCHEMA]
+)
+
+
+@st.composite
+def _overlays(draw):
+    overlay = {}
+    for section, key in draw(st.lists(st.sampled_from(_PLACES), max_size=3)):
+        if key is None:
+            overlay[section] = draw(_JSON)
+            continue
+        if not isinstance(overlay.get(section), dict):
+            overlay[section] = {}
+        overlay[section][key] = draw(_JSON)
+    return overlay
+
+
+@settings(max_examples=400, deadline=None)
+@given(overlay=_overlays() | _JSON)
+def test_any_overlay_resolves_or_raises_config_error(overlay):
+    try:
+        cfg = resolve_config(overlay)
+    except ConfigError:
+        return
+    json.dumps(cfg, allow_nan=False)  # what the run directory records is standard JSON
 
 
 def test_lr_regression_optional():
@@ -98,6 +182,9 @@ def test_override_seed_touches_every_section():
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
 
@@ -375,3 +462,107 @@ def test_unexpected_error_is_one_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and err.endswith("error: KeyError: 'lr_regression'\n")
     assert not (run / "run.lock").exists()
+
+
+# ---- every schema key reaches the code it configures ----
+
+
+def _arg(name, pos, attr=None):
+    """Observer: argument `pos` (an index or keyword) of each call to cli.<name>,
+    or that argument's attribute `attr`."""
+
+    def observe(seen, run):
+        vals = [kw[pos] if isinstance(pos, str) else args[pos] for args, kw in seen[name]]
+        return vals if attr is None else [getattr(v, attr) for v in vals]
+
+    return observe
+
+
+def _all(*observers):
+    return lambda seen, run: [v for observe in observers for v in observe(seen, run)]
+
+
+def _dirs_holding(filename):
+    """Observer: the run-relative directories that hold `filename`."""
+
+    def observe(seen, run):
+        return sorted(os.path.relpath(d, run) for d, _, files in os.walk(run) if filename in files)
+
+    return observe
+
+
+# (section, key) -> (a legal value that no preset uses, observer of what the CLI
+# handed on).  A schema key without an entry here fails the test.
+_REACH = {
+    ("dataset", "families"): (["box", "cylinder"], _arg("make_dataset", 0, "families")),
+    ("dataset", "n"): (12, _arg("make_dataset", 0, "n")),
+    ("dataset", "total"): (9, _arg("make_dataset", 0, "total")),
+    ("dataset", "train_fraction"): (0.7, _arg("make_dataset", 0, "train_fraction")),
+    ("dataset", "r"): ([0.2, 0.3], _arg("make_dataset", 0, "r")),
+    ("dataset", "sigma"): (0.02, _arg("make_dataset", 0, "sigma")),
+    ("dataset", "scan_resolution"): (16, _arg("make_dataset", 0, "scan_resolution")),
+    ("dataset", "seed"): (3, _arg("make_dataset", 0, "seed")),
+    ("ae", "k"): (5, _arg("train_ae", 1, "k")),
+    ("ae", "linear"): (True, _arg("train_ae", 1, "linear")),
+    ("ae", "lr"): (0.002, _arg("train_ae", 2, "lr")),
+    ("ae", "beta1"): (0.8, _arg("train_ae", 2, "beta1")),
+    ("ae", "batch_size"): (3, _arg("train_ae", 2, "batch_size")),
+    ("ae", "epochs"): (2, _arg("train_ae", 2, "epochs")),
+    ("ae", "seed"): (4, _arg("train_ae", 2, "seed")),
+    ("gan", "mode"): ("partial_ae", _arg("train_gan", 2, "value")),
+    ("gan", "lr"): (0.003, _arg("train_gan", 3, "lr")),
+    ("gan", "lr_regression"): (0.004, _arg("train_gan", 3, "lr_regression")),
+    ("gan", "beta1"): (0.6, _arg("train_gan", 3, "beta1")),
+    ("gan", "batch_size"): (3, _arg("train_gan", 3, "batch_size")),
+    ("gan", "epochs"): (2, _arg("train_gan", 3, "epochs")),
+    ("gan", "tau"): (0.02, _arg("train_gan", 3, "tau")),
+    ("gan", "gan_loss"): ("log", _arg("train_gan", 3, "gan_loss")),
+    ("gan", "seed"): (5, _arg("train_gan", 3, "seed")),
+    ("eval", "eps"): (
+        0.05,
+        _all(_arg("evaluate_completions", "eps"), _arg("incompleteness_sweep", "eps")),
+    ),
+    ("eval", "jsd_grid"): (6, _arg("jsd", "g")),
+    ("eval", "r_sweep"): ([0.15], _arg("incompleteness_sweep", 3)),
+    ("eval", "seed"): (6, _all(_arg("Rng", 0), _arg("incompleteness_sweep", "seed"))),
+    ("paths", "dataset"): ("ds", _dirs_holding("manifest.json")),
+    ("paths", "checkpoints"): ("ck", _dirs_holding("clean_ae.json")),
+    ("paths", "reports"): ("rp", _dirs_holding("sweep.csv")),
+}
+
+
+def test_every_schema_key_reaches_its_code(tmp_path, monkeypatch):
+    assert set(_REACH) == {(s, k) for s, rules in SCHEMA.items() for k in rules}
+    overlay = {}
+    for (section, key), (value, _) in _REACH.items():
+        for preset in PRESETS.values():
+            assert preset[section].get(key) != value, (section, key)
+        overlay.setdefault(section, {})[key] = value
+    cfg_path = tmp_path / "reach.json"
+    cfg_path.write_text(json.dumps(overlay))
+    seen = {}
+    for name in ("make_dataset", "train_ae", "train_gan", "evaluate_completions", "jsd",
+                 "incompleteness_sweep", "Rng"):
+        def spy(*args, _real=getattr(cli, name), _calls=seen.setdefault(name, []), **kwargs):
+            _calls.append((args, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    run, out = tmp_path / "run", tmp_path / "out"
+    commands = [
+        ["synth"],
+        ["train-ae"],
+        ["train-ae", "--target", "partial"],
+        ["train-gan"],
+        ["complete", "--input", str(run / "ds" / "partial_test"), "--output", str(out)],
+        ["eval", "--completions", str(out), "--gt", str(run / "ds" / "clean_test")],
+        ["sweep"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # untrained decoder leaves the JSD grid
+        for command in commands:
+            assert main([command[0], "--run", str(run), "--config", str(cfg_path),
+                         *command[1:]]) == 0, command
+    for (section, key), (value, observe) in _REACH.items():
+        got = [list(v) if isinstance(v, tuple) else v for v in observe(seen, run)]
+        assert got and all(v == value for v in got), (section, key, got)
