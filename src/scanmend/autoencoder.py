@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import emd
 from .nn.checkpoint import Bundle, load_bundle, save_bundle
 from .nn.layers import BatchNorm, Dense, MaxPool, Network, PointwiseDense, ReLU
 from .nn.lossops import emd_loss
@@ -71,23 +72,6 @@ class AutoencoderSpec:
     @staticmethod
     def from_dict(d: dict) -> "AutoencoderSpec":
         return AutoencoderSpec(n=int(d["n"]), k=int(d["k"]), linear=bool(d.get("linear", False)))
-
-
-@dataclass(frozen=True)
-class LatentCode:
-    """A k-dim encoder output."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("latent code must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def k(self) -> int:
-        return self.values.size
 
 
 def _build_encoder(spec: AutoencoderSpec, rng: Rng) -> Network:
@@ -164,53 +148,34 @@ class Autoencoder:
         flat = self.decoder.forward(code)
         return flat.reshape(flat.data.shape[0], self.spec.n, 3)
 
+    def reconstruct(self, clouds) -> np.ndarray:
+        """(batch, n, 3) clouds -> their infer-mode reconstructions, through
+        Network.predict: no graph, and the mode is left as it was."""
+        data = _as_batch(clouds, self.spec.n)
+        flat = self.decoder.predict(self.encoder.predict(data))
+        return flat.reshape(data.shape[0], self.spec.n, 3)
+
     def as_single_network(self) -> Network:
         """Layer-sharing view of encoder + decoder for gradient checks."""
         return Network(self.encoder.layers + self.decoder.layers, name="autoencoder")
 
 
-def encode(ae: Autoencoder, pset: PointSet) -> LatentCode:
-    """Infer-mode latent code of one cloud; exactly permutation invariant."""
-    if pset.n != ae.spec.n:
-        raise ValueError(f"expected {ae.spec.n} points, got {pset.n}")
-    mode = ae.encoder.mode
-    ae.encoder.infer()
-    try:
-        out = ae.encoder.forward(Tensor(pset.points[None]))
-    finally:
-        ae.encoder.mode = mode
-    return LatentCode(out.data[0].copy())
-
-
-def decode(ae: Autoencoder, z: LatentCode) -> PointSet:
-    """Infer-mode decoding of a latent code to a cloud of exactly n points."""
-    values = z.values if isinstance(z, LatentCode) else np.asarray(z, dtype=np.float64)
-    if values.size != ae.spec.k:
-        raise ValueError(f"latent length {values.size}, expected {ae.spec.k}")
-    mode = ae.decoder.mode
-    ae.decoder.infer()
-    try:
-        out = ae.decoder.forward(Tensor(values.reshape(1, -1)))
-    finally:
-        ae.decoder.mode = mode
-    return PointSet(out.data.reshape(ae.spec.n, 3))
-
-
-def _as_batch(clouds) -> np.ndarray:
+def _as_batch(clouds, n: int) -> np.ndarray:
+    """Clouds as one (batch, n, 3) float64 array; ValueError on any other shape."""
     if isinstance(clouds, np.ndarray):
         arr = clouds
     else:
         arr = np.stack([c.points if isinstance(c, PointSet) else np.asarray(c) for c in clouds])
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1:
         raise ValueError(f"expected non-empty (batch, n, 3) clouds, got {arr.shape}")
+    if arr.shape[1] != n:
+        raise ValueError(f"clouds have {arr.shape[1]} points, expected {n}")
     return np.asarray(arr, dtype=np.float64)
 
 
 def ae_loss(ae: Autoencoder, batch) -> Tensor:
     """Mean EMD between the batch and its reconstructions (differentiable)."""
-    data = _as_batch(batch)
-    if data.shape[1] != ae.spec.n:
-        raise ValueError(f"clouds have {data.shape[1]} points, expected {ae.spec.n}")
+    data = _as_batch(batch, ae.spec.n)
     recon = ae.forward_batch(Tensor(data))
     return emd_loss(recon, data)
 
@@ -230,9 +195,7 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
     Deterministic under a fixed config: initialization and batch order derive
     from cfg.seed only.  Raises TrainingDivergedError on a non-finite loss.
     """
-    data = _as_batch(clouds)
-    if data.shape[1] != spec.n:
-        raise ValueError(f"dataset clouds have {data.shape[1]} points, expected {spec.n}")
+    data = _as_batch(clouds, spec.n)
     root = Rng(cfg.seed)
     ae = Autoencoder(spec, root.spawn(0))
     ae.train()
@@ -268,15 +231,9 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
 
 def reconstruction_emd(ae: Autoencoder, clouds) -> float:
     """Mean infer-mode reconstruction EMD over a collection of clouds."""
-    data = _as_batch(clouds)
-    mode = ae.encoder.mode
-    ae.infer()
-    try:
-        loss = ae_loss(ae, data)
-    finally:
-        if mode == "train":
-            ae.train()
-    return float(loss.data)
+    data = _as_batch(clouds, ae.spec.n)
+    recon = ae.reconstruct(data)
+    return float(np.array([emd(r, d)[0] for r, d in zip(recon, data)]).mean())
 
 
 def save_autoencoder(path, ae: Autoencoder, *, seed: int, optimizer: AdamState | None = None) -> str:

@@ -107,8 +107,11 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    """A JSON number usable as a setting: not a boolean, and finite."""
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    """A JSON number usable as a setting: not a boolean, and a finite float."""
+    try:
+        return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _int_from(lo: int):

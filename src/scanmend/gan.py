@@ -206,16 +206,10 @@ class CompletionPipeline:
         return self.clean_ae.encoder
 
     def complete_batch(self, partials: np.ndarray) -> np.ndarray:
-        """(batch, n, 3) partials -> (batch, n, 3) completions (infer mode)."""
-        enc = self.source_encoder()
-        enc.infer()
-        self.generator.infer()
-        self.clean_ae.decoder.infer()
-        codes = enc.forward(Tensor(np.asarray(partials, dtype=np.float64)))
-        mapped = self.generator.forward(codes)
-        flat = self.clean_ae.decoder.forward(mapped)
-        n = self.clean_ae.spec.n
-        return flat.data.reshape(-1, n, 3).copy()
+        """(batch, n, 3) partials -> (batch, n, 3) completions, through
+        Network.predict: infer arithmetic whatever the networks' modes."""
+        codes = self.generator.predict(self.source_encoder().predict(partials))
+        return self.clean_ae.decoder.predict(codes).reshape(-1, self.clean_ae.spec.n, 3)
 
     def complete(self, partial: PointSet) -> PointSet:
         if partial.n != self.clean_ae.spec.n:
@@ -248,11 +242,6 @@ class GanTrainResult:
     discriminator: Network
     curves: list  # rows: {"epoch", "L_F", "L_G", "hard_HL", "adv_term"}
     diverged: bool = False
-
-
-def _encode_all(encoder: Network, clouds: np.ndarray) -> np.ndarray:
-    encoder.infer()
-    return encoder.forward(Tensor(clouds)).data.copy()
 
 
 def train_gan(
@@ -288,9 +277,7 @@ def train_gan(
         source_enc = partial_ae.encoder
     else:
         source_enc = clean_ae.encoder
-    clean_ae.infer()
-    if partial_ae is not None:
-        partial_ae.infer()
+    clean_ae.infer()  # the frozen decoder is differentiated in infer mode
     spec = GanSpec(k=clean_ae.spec.k)
 
     root = Rng(cfg.seed)
@@ -304,8 +291,8 @@ def train_gan(
     # Encoders are frozen, so latent codes are fixed; compute them once.  Only
     # the discriminator reads clean codes; clean batches are drawn regardless,
     # so the random stream is the same in every mode.
-    z_clean = _encode_all(clean_ae.encoder, clean) if settings.train_disc else None
-    z_partial = _encode_all(source_enc, partial)
+    z_clean = clean_ae.encoder.predict(clean) if settings.train_disc else None
+    z_partial = source_enc.predict(partial)
     decoder = clean_ae.decoder
     n_pts = clean_ae.spec.n
 
@@ -333,11 +320,10 @@ def train_gan(
             loss_f_val = 0.0
             try:
                 if settings.train_disc:
-                    fake_codes = gen.forward(zr).data.copy()  # detached from G
                     disc.zero_grad()
                     l_f = disc_loss(
                         disc.forward(Tensor(z_clean[c_sel])),
-                        disc.forward(Tensor(fake_codes)),
+                        disc.forward(Tensor(gen.predict(zr.data))),  # detached from G
                         kind=cfg.gan_loss,
                     )
                     loss_f_val = float(l_f.data)

@@ -154,11 +154,14 @@ def incompleteness_sweep(
     seed: int = 0,
 ) -> list:
     """F1 and EMD at each incompleteness level for the pipeline and the
-    AE-only baseline (decode(encode(partial)) of `ae_baseline`).
+    AE-only baseline (`ae_baseline.reconstruct(partials)`).
 
     Partials are regenerated from the ground-truth clouds at every r with
     seeds derived from (seed, r index, instance), so the sweep is
-    deterministic and independent of any stored dataset corruption.
+    deterministic and independent of any stored dataset corruption.  Both
+    completions run through Network.predict: no autodiff node, the
+    BatchNorm running statistics whatever the networks' modes, and no
+    write into the partials or any other array the caller holds.
     """
     gts = np.stack([_pts(c) for c in gt_clouds])
     root = Rng(seed)
@@ -169,7 +172,7 @@ def incompleteness_sweep(
             spec = CorruptionSpec(r=float(r), sigma=sigma, seed=root.spawn(ri * 1_000_003 + i).seed)
             partials[i] = corrupt(PointSet(gts[i]), spec).points
         ours = pipeline.complete_batch(partials)
-        ae_out = _ae_reconstruct(ae_baseline, partials)
+        ae_out = ae_baseline.reconstruct(partials)
         ours_rep = evaluate_completions(ours, gts, eps)
         ae_rep = evaluate_completions(ae_out, gts, eps)
         rows.append(
@@ -183,10 +186,3 @@ def incompleteness_sweep(
         )
     return rows
 
-
-def _ae_reconstruct(ae, partials: np.ndarray) -> np.ndarray:
-    from .nn.tensor import Tensor
-
-    ae.infer()
-    flat = ae.decoder.forward(Tensor(ae.encoder.forward(Tensor(partials)).data))
-    return flat.data.reshape(partials.shape[0], ae.spec.n, 3).copy()

@@ -5,7 +5,12 @@ each PointwiseDense -> BatchNorm -> ReLU triple in it runs as one fused
 PointBlock node (see there for the buffers that node owns and overwrites).
 Weights are float64 Tensors; batchnorm running statistics are plain arrays,
 updated only in train mode.  Initialization is seed-controlled:
-Kaiming-uniform ahead of ReLU, Xavier for final linear layers.
+Kaiming-uniform ahead of ReLU, Xavier for final linear layers.  `forward`
+builds autodiff nodes in the network's mode; `predict`, for inference, runs
+the same infer formulas on plain arrays with the running statistics whatever
+the mode, builds no node, and writes only into arrays it allocated, never
+into its input, even when the first layer is a ReLU or a BatchNorm.  So
+Network.predict(x) is the infer-mode forward's output, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng) -> np.ndarray:
 class Dense:
     """Fully connected layer on (batch, features) inputs."""
 
-    kind = "dense"
+    kind, ndim = "dense", 2
 
     def __init__(self, n_in: int, n_out: int, rng: Rng, init: str = "kaiming"):
         self.n_in, self.n_out, self.init = n_in, n_out, init
@@ -48,10 +53,17 @@ class Dense:
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
 
+    def check_input(self, x: np.ndarray) -> None:
+        if x.ndim != self.ndim or x.shape[-1] != self.n_in:
+            raise ValueError(f"{self.kind} expects {self.ndim} axes ending in {self.n_in}: {x.shape}")
+
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        if x.data.ndim != 2 or x.data.shape[1] != self.n_in:
-            raise ValueError(f"dense expects (batch, {self.n_in}), got {x.data.shape}")
+        self.check_input(x.data)
         return x.matmul(self.w, self.b)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        self.check_input(x)
+        return affine(x, self.w.data, self.b.data)[1].reshape(x.shape[:-1] + (self.n_out,))
 
 
 class PointwiseDense(Dense):
@@ -61,17 +73,10 @@ class PointwiseDense(Dense):
     kernel size 1.
     """
 
-    kind = "pointwise"
+    kind, ndim = "pointwise", 3
 
-    def check_input(self, x: Tensor) -> None:
-        if x.data.ndim != 3 or x.data.shape[2] != self.n_in:
-            raise ValueError(
-                f"pointwise dense expects (batch, points, {self.n_in}), got {x.data.shape}"
-            )
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        self.check_input(x)
-        return x.matmul(self.w, self.b)
+    # Dense's forward, bound in this class too so that tracing tells the two apart.
+    forward = Dense.forward
 
 
 class BatchNorm:
@@ -156,9 +161,16 @@ class BatchNorm:
         self.gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
         return dy * (self.gamma.data * inv)
 
+    def check_input(self, x: np.ndarray) -> None:
+        if x.shape[-1] != self.width:
+            raise ValueError(f"batchnorm width {self.width} != features {x.shape[-1]}")
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        self.check_input(x)
+        return self.normalize_infer(x.reshape(-1, self.width), *self.infer_stats()).reshape(x.shape)
+
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        if x.data.shape[-1] != self.width:
-            raise ValueError(f"batchnorm width {self.width} != features {x.data.shape[-1]}")
+        self.check_input(x.data)
         shape, width = x.data.shape, self.width
         m = x.data.size // width
         if train:
@@ -194,6 +206,9 @@ class ReLU:
     def forward(self, x: Tensor, train: bool) -> Tensor:
         return x.relu()
 
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
+
 
 class MaxPool:
     """Feature-wise maximum over the points axis: (batch, points, f) -> (batch, f).
@@ -213,9 +228,17 @@ class MaxPool:
     def param_items(self):
         return []
 
+    def check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 3:
+            raise ValueError(f"maxpool expects (batch, points, features), got {x.shape}")
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The forward output with no tie scan; last_tie_count is left as it was."""
+        self.check_input(x)
+        return x.max(axis=1)
+
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        if x.data.ndim != 3:
-            raise ValueError(f"maxpool expects (batch, points, features), got {x.data.shape}")
+        self.check_input(x.data)
         out, ties = x.max_over_axis(axis=1)
         self.last_tie_count = ties
         return out
@@ -235,38 +258,48 @@ class PointBlock:
     Backward takes the ReLU mask from the output and runs the BatchNorm
     backward and then the GEMM backward in one new array.  Infer mode runs
     the BatchNorm affine map and the ReLU in place in the GEMM output, the
-    only array it owns, so its backward recomputes the GEMM.
+    only array it owns, so its backward recomputes the GEMM; predict runs the
+    same infer arithmetic and returns that array with no node.
     """
 
     def __init__(self, dense: PointwiseDense, bn: BatchNorm):
         self.dense, self.bn = dense, bn
 
-    def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
-        """`check(array, i)` raises when the output of layer i is not finite;
-        `index` is the dense layer's index in the network."""
+    def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
+        """(flat input, output, (x-hat, inv) in train or (mean, inv) in infer
+        mode) of the block on array x.  `check(array, i)` raises when the output
+        of layer i is not finite; `index` is the dense layer's index."""
         dense, bn = self.dense, self.bn
         dense.check_input(x)
-        w, b, n_out = dense.w, dense.b, dense.n_out
-        flat, h = affine(x.data, w.data, b.data)
+        flat, h = affine(x, dense.w.data, dense.b.data)
         check(h, index)
         if train:
-            xhat, inv = bn.normalize_train(h, out=h)
-            y = bn.scale_shift(xhat)
+            state = bn.normalize_train(h, out=h)
+            y = bn.scale_shift(state[0])
         else:
-            mean, inv = bn.infer_stats()
-            y = bn.normalize_infer(h, mean, inv, out=h)
+            state = bn.infer_stats()
+            y = bn.normalize_infer(h, *state, out=h)
         check(y, index + 1)
         # ReLU maps finite values to finite values, so its output needs no check.
-        y = np.maximum(y, 0.0, out=y).reshape(x.data.shape[:-1] + (n_out,))
+        y = np.maximum(y, 0.0, out=y).reshape(x.shape[:-1] + (dense.n_out,))
+        return flat, y, state
+
+    def predict(self, x: np.ndarray, check, index: int) -> np.ndarray:
+        return self._run(x, False, check, index)[1]
+
+    def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
+        dense, bn = self.dense, self.bn
+        w, b, n_out = dense.w, dense.b, dense.n_out
+        flat, y, state = self._run(x.data, train, check, index)
         out = Tensor(y, (x, w, b, bn.gamma, bn.beta))
 
         def backward(g):
             # y > 0 exactly where the BatchNorm output was positive.
             dy = (g * (y > 0.0)).reshape(-1, n_out)
             if train:
-                dh = bn.backward_train(dy, xhat, inv, out=dy)
+                dh = bn.backward_train(dy, *state, out=dy)
             else:
-                dh = bn.backward_infer(dy, affine(flat, w.data, b.data)[1], mean, inv)
+                dh = bn.backward_infer(dy, affine(flat, w.data, b.data)[1], *state)
             affine_backward(dh, flat, x, w, b)
 
         out._backward = backward
@@ -319,27 +352,38 @@ class Network:
                 f"non-finite activation after layer {i} ({self.layers[i].kind}) of {self.name}"
             )
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the stack; raise FloatingPointError naming the first layer
-        whose output is not finite.
+    def _check_step(self, n: int, i: int, arr: np.ndarray) -> None:
+        """Scan step n (layer i; a PointBlock scans itself).  ReLU and max-pool
+        keep finite inputs finite, so they are scanned only as the first step."""
+        if n == 0 or not isinstance(self.layers[i], (ReLU, MaxPool)):
+            self._check(arr, i)
 
-        ReLU and max-pool map finite inputs to finite outputs, so their
-        output is scanned only when their input is not yet known finite.
-        Each PointwiseDense -> BatchNorm -> ReLU triple runs as one
-        PointBlock node, which checks the dense and the BatchNorm output.
-        """
+    def forward(self, x: Tensor) -> Tensor:
+        """Run the stack in the network's mode as autodiff nodes, each fused
+        triple as one PointBlock node; raise FloatingPointError naming the
+        first layer whose output is not finite."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         train = self.mode == "train"
-        finite = False
-        for i, step in self._steps:
+        for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):
                 x = step.forward(x, train, self._check, i)
             else:
                 x = step.forward(x, train)
-                if not (finite and isinstance(step, (ReLU, MaxPool))):
-                    self._check(x.data, i)
-            finite = True
+                self._check_step(n, i, x.data)
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """forward(Tensor(x)).data in infer mode, whatever the mode, bit for bit
+        and with the same FloatingPointError, but with no graph; x is never
+        written to, and each intermediate is freed once the next step reads it."""
+        x = np.asarray(x, dtype=np.float64)
+        for n, (i, step) in enumerate(self._steps):
+            if isinstance(step, PointBlock):
+                x = step.predict(x, self._check, i)
+            else:
+                x = step.predict(x)
+                self._check_step(n, i, x)
         return x
 
     # ---- parameters ----

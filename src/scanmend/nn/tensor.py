@@ -24,6 +24,11 @@ Three rules keep memory behavior sane across long training runs:
   allocates, never the output gradient it receives, its x-hat or its
   output.  In infer mode it works in place in its GEMM output, which is
   its output array, so its backward recomputes the GEMM.
+  `Network.predict`, the inference path, keeps the same rule with no node at
+  all: it builds no Tensor, normalizes by the BatchNorm running statistics
+  whatever the network's mode, and writes only into arrays it allocated
+  itself, never into its input, even when the first layer is a ReLU or a
+  BatchNorm.
 * Gradients are allocated lazily: `grad` is None until backward reaches the
   tensor.  Accumulation always rebinds (`grad = grad + g`) and never mutates
   an existing array, so a gradient may safely alias its consumer's gradient

@@ -32,45 +32,52 @@ def write_ply(path, pset: PointSet) -> None:
 
 
 def read_ply(path) -> PointSet:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f]
-    if not lines or lines[0] != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    n = None
-    props = []
-    i = 1
-    while i < len(lines):
-        ln = lines[i]
-        i += 1
-        if ln == "end_header":
-            break
-        parts = ln.split()
-        if not parts or parts[0] == "comment":
-            continue
-        if parts[0] == "format":
-            if parts[1] != "ascii":
-                raise ValueError(f"{path}: only ascii PLY is supported")
-        elif parts[0] == "element":
-            if parts[1] == "vertex":
-                n = int(parts[2])
-            elif n is not None:
-                raise ValueError(f"{path}: elements after vertex are not supported")
-        elif parts[0] == "property":
-            if n is not None:
-                props.append(parts[-1])
-    else:
-        raise ValueError(f"{path}: missing end_header")
-    if n is None:
-        raise ValueError(f"{path}: no vertex element")
-    if props[:3] != ["x", "y", "z"]:
-        raise ValueError(f"{path}: vertex properties must start with x y z, got {props}")
-    body = [ln for ln in lines[i:] if ln]
-    if len(body) != n:
-        raise ValueError(f"{path}: expected {n} vertex rows, found {len(body)}")
-    pts = np.empty((n, 3), dtype=np.float64)
-    for row, ln in enumerate(body):
-        vals = ln.split()
-        if len(vals) != len(props):
-            raise ValueError(f"{path}: row {row} has {len(vals)} values, expected {len(props)}")
-        pts[row] = [float(v) for v in vals[:3]]
-    return PointSet(pts)
+    """The vertices of an ASCII PLY file; any malformed content raises a
+    ValueError whose message names `path` once."""
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f]
+        if not lines or lines[0] != "ply":
+            raise ValueError("not a PLY file")
+        n = None
+        props = []
+        i = 1
+        while i < len(lines):
+            ln = lines[i]
+            i += 1
+            if ln == "end_header":
+                break
+            parts = ln.split()
+            if not parts or parts[0] == "comment":
+                continue
+            if parts[0] in ("format", "element", "property") and len(parts) < 3:
+                raise ValueError(f"malformed header line {ln!r}")
+            if parts[0] == "format":
+                if parts[1] != "ascii":
+                    raise ValueError("only ascii PLY is supported")
+            elif parts[0] == "element":
+                if parts[1] == "vertex":
+                    n = int(parts[2])
+                elif n is not None:
+                    raise ValueError("elements after vertex are not supported")
+            elif parts[0] == "property":
+                if n is not None:
+                    props.append(parts[-1])
+        else:
+            raise ValueError("missing end_header")
+        if n is None:
+            raise ValueError("no vertex element")
+        if props[:3] != ["x", "y", "z"]:
+            raise ValueError(f"vertex properties must start with x y z, got {props}")
+        body = [ln for ln in lines[i:] if ln]
+        if len(body) != n:
+            raise ValueError(f"expected {n} vertex rows, found {len(body)}")
+        pts = np.empty((n, 3), dtype=np.float64)
+        for row, ln in enumerate(body):
+            vals = ln.split()
+            if len(vals) != len(props):
+                raise ValueError(f"row {row} has {len(vals)} values, expected {len(props)}")
+            pts[row] = [float(v) for v in vals[:3]]
+        return PointSet(pts)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e

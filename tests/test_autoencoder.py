@@ -7,14 +7,11 @@ from scanmend.autoencoder import (
     AutoencoderSpec,
     TrainingDivergedError,
     ae_loss,
-    decode,
-    encode,
     load_autoencoder,
     reconstruction_emd,
     save_autoencoder,
     train_ae,
 )
-from scanmend.pointset import PointSet
 from scanmend.rng import Rng
 
 
@@ -55,33 +52,34 @@ def test_encoder_permutation_invariance_exact():
     ae = Autoencoder(AutoencoderSpec(n=32, k=8), Rng(2))
     rng = Rng(3)
     cloud = rng.normal((32, 3))
-    z0 = encode(ae, PointSet(cloud)).values
+    z0 = ae.encoder.predict(cloud[None])
     for _ in range(25):
         perm = rng.permutation(32)
-        z = encode(ae, PointSet(cloud[perm])).values
+        z = ae.encoder.predict(cloud[perm][None])
         assert np.array_equal(z, z0)  # bit-identical, not just close
 
 
 def test_encode_decode_contracts():
     ae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(4))
-    ps = PointSet(Rng(5).normal((16, 3)))
-    z = encode(ae, ps)
-    assert z.k == 4
-    out = decode(ae, z)
-    assert out.n == 16
+    clouds = Rng(5).normal((2, 16, 3))
+    z = ae.encoder.predict(clouds)
+    assert z.shape == (2, 4)
+    assert ae.decoder.predict(z).shape == (2, 48)
+    assert ae.reconstruct(clouds).shape == (2, 16, 3)
     with pytest.raises(ValueError, match="expected 16"):
-        encode(ae, PointSet(Rng(6).normal((15, 3))))
-    with pytest.raises(ValueError, match="latent length"):
-        decode(ae, np.zeros(5))
+        ae.reconstruct(Rng(6).normal((2, 15, 3)))
+    with pytest.raises(ValueError, match="dense expects 2 axes ending in 4"):
+        ae.decoder.predict(np.zeros((1, 5)))
 
 
 def test_encode_preserves_network_mode():
     ae = Autoencoder(AutoencoderSpec(n=8, k=4), Rng(7)).train()
-    encode(ae, PointSet(Rng(8).normal((8, 3))))
-    assert ae.encoder.mode == "train"
-    ae.infer()
-    encode(ae, PointSet(Rng(8).normal((8, 3))))
-    assert ae.encoder.mode == "infer"
+    clouds = Rng(8).normal((1, 8, 3))
+    for mode in ("train", "infer"):
+        ae.encoder.mode = ae.decoder.mode = mode
+        ae.decoder.predict(ae.encoder.predict(clouds))
+        ae.reconstruct(clouds)
+        assert (ae.encoder.mode, ae.decoder.mode) == (mode, mode)
 
 
 def test_linear_ae_memorizes_single_shape():
@@ -139,5 +137,5 @@ def test_save_load_round_trip(tmp_path):
     assert back.spec == ae.spec
     assert np.array_equal(back.param_vector(), ae.param_vector())
     # loaded model reproduces latent codes bit for bit
-    ps = PointSet(Rng(15).normal((16, 3)))
-    assert np.array_equal(encode(back, ps).values, encode(ae.infer(), ps).values)
+    clouds = Rng(15).normal((1, 16, 3))
+    assert np.array_equal(back.encoder.predict(clouds), ae.encoder.predict(clouds))

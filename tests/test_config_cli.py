@@ -98,6 +98,11 @@ def test_overlay_and_preset_precedence():
         ({"gan": {"lr": float("inf")}}, "gan.lr"),
         ({"gan": {"lr_regression": float("inf")}}, "gan.lr_regression"),
         ({"gan": {"tau": float("nan")}}, "gan.tau"),
+        # ints too large for a float
+        ({"ae": {"lr": 10**400}}, "ae.lr"),
+        ({"dataset": {"sigma": 10**400}}, "dataset.sigma"),
+        ({"dataset": {"r": [0, 10**400]}}, "dataset.r"),
+        ({"eval": {"r_sweep": [0.1, -(10**400)]}}, "eval.r_sweep"),
     ],
 )
 def test_validation_rejects_bad_values(patch, msg):
@@ -112,6 +117,7 @@ def test_validation_rejects_bad_values(patch, msg):
         '{"preset": ["x"]}',
         '{"ae": {"batch_size": true}}',
         '{"ae": {"lr": Infinity}}',
+        pytest.param('{"ae": {"lr": 1%s}}' % ("0" * 400), id="int-too-large-for-float"),
         '[1, 2]',
     ],
 )
@@ -344,12 +350,16 @@ def test_missing_artifacts_are_distinct_errors(micro_run, tmp_path, capsys):
 
 
 def test_malformed_ply_is_reported(micro_run, tmp_path, capsys):
-    bad_dir = tmp_path / "bad"
-    bad_dir.mkdir()
-    (bad_dir / "0000.ply").write_text("solid nonsense\n")
-    assert main(["complete", *micro_run["args"], "--input", str(bad_dir),
-                 "--output", str(tmp_path / "out")]) == 1
-    assert "malformed PLY" in capsys.readouterr().err
+    nan_row = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+               "property double y\nproperty double z\nend_header\nnan 0 0\n")
+    for i, text in enumerate(["solid nonsense\n", nan_row]):
+        bad = tmp_path / f"bad{i}" / "0000.ply"
+        bad.parent.mkdir()
+        bad.write_text(text)
+        assert main(["complete", *micro_run["args"], "--input", str(bad.parent),
+                     "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed PLY") and err.count(str(bad)) == 1
 
 
 def test_complete_rejects_wrong_point_count(micro_run, tmp_path, capsys):

@@ -9,6 +9,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -242,3 +245,19 @@ def test_input_validation():
         chamfer(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hausdorff_directed(np.zeros((0, 3)), np.zeros((2, 3)))
+
+
+def _cloud_pair_and_permutation(n):
+    cloud = hnp.arrays(np.float64, (n, 3), elements=st.floats(-10.0, 10.0))
+    return st.tuples(cloud, cloud, st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 16).flatmap(_cloud_pair_and_permutation))
+def test_emd_symmetric_and_permutation_invariant(case):
+    # Equal to 1e-12 relative, not bitwise: another order of the points sums
+    # the matched distances in another order.
+    a, b, perm = case
+    cost = emd(a, b)[0]
+    for other in (emd(b, a)[0], emd(a[list(perm)], b)[0]):
+        assert abs(other - cost) <= 1e-12 * max(abs(other), abs(cost))

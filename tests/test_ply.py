@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
@@ -12,6 +15,21 @@ def test_ply_round_trip_bit_exact(tmp_path):
     write_ply(p, PointSet(pts))
     back = read_ply(p)
     assert np.array_equal(back.points, pts)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pts=hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 64), st.just(3)),
+    elements=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+))
+@example(pts=np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1e300, -1e300]]))
+def test_ply_round_trip_any_finite_cloud(tmp_path, pts):
+    # signed zeros, subnormals and magnitudes up to 1e300 come back bit for bit
+    p = tmp_path / "a.ply"
+    write_ply(p, PointSet(pts))
+    assert read_ply(p).points.tobytes() == pts.tobytes()
 
 
 def test_ply_rewrite_identical_bytes(tmp_path):
@@ -105,3 +123,23 @@ def test_ply_rejects_short_row(tmp_path):
     )
     with pytest.raises(ValueError, match="row 0"):
         read_ply(p)
+
+
+@pytest.mark.parametrize(
+    "count, row, message",
+    [
+        ("x", "0 0 0", "invalid literal for int"),
+        ("", "0 0 0", "malformed header line"),
+        ("1", "nan 0 0", "point coordinates must be finite"),
+    ],
+)
+def test_ply_errors_name_the_file_once(tmp_path, count, row, message):
+    p = tmp_path / "bad.ply"
+    p.write_text(
+        f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        f"end_header\n{row}\n"
+    )
+    with pytest.raises(ValueError, match=message) as err:
+        read_ply(p)
+    assert str(err.value).count(str(p)) == 1
