@@ -151,9 +151,15 @@ class Autoencoder:
     def reconstruct(self, clouds) -> np.ndarray:
         """(batch, n, 3) clouds -> their infer-mode reconstructions, through
         Network.predict: no graph, and the mode is left as it was."""
-        data = _as_batch(clouds, self.spec.n)
-        flat = self.decoder.predict(self.encoder.predict(data))
-        return flat.reshape(data.shape[0], self.spec.n, 3)
+        return self.decode(self.encode(clouds))
+
+    def encode(self, clouds) -> np.ndarray:
+        """(batch, n, 3) clouds -> (batch, k) infer-mode codes."""
+        return self.encoder.predict(_as_batch(clouds, self.spec.n))
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """(batch, k) codes -> (batch, n, 3) infer-mode clouds."""
+        return self.decoder.predict(codes).reshape(-1, self.spec.n, 3)
 
     def as_single_network(self) -> Network:
         """Layer-sharing view of encoder + decoder for gradient checks."""

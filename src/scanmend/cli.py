@@ -35,6 +35,7 @@ from .autoencoder import (
     train_ae,
 )
 from .config import SCHEMA, ConfigError, PRESETS, load_config, override_seed, resolve_config
+from .fileio import write_atomic
 from .gan import (
     GanTrainConfig,
     TrainingMode,
@@ -145,17 +146,13 @@ def _fmt(x) -> str:
 
 def _write_csv(path: str, header: list, rows: list) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _write_json(path: str, obj: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode())
 
 
 # ---- artifact loading ----

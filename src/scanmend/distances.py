@@ -14,7 +14,10 @@ Conventions fixed here and relied on everywhere else:
   batched matmul instead of a sum over an (|s|, |r|, 3) array of unit
   vectors.
 
-All functions accept either a PointSet or a bare (n, 3) float array.
+The per-pair functions accept either a PointSet or a bare (n, 3) float
+array.  Each reduces through a matrix helper (emd_from_dist, chamfer_from_sq,
+hausdorff_from_sq), so a caller holding a pair's distance matrix scores it
+with the same formula.
 """
 
 from __future__ import annotations
@@ -56,17 +59,22 @@ class Assignment:
 
 
 def emd(a, b) -> tuple[float, Assignment]:
-    """Earth Mover's Distance between equal-size point sets.
+    """Earth Mover's Distance between equal-size point sets: emd_from_dist
+    on their Euclidean distance matrix."""
+    pa, pb = _pts(a), _pts(b)
+    if pa.shape[0] != pb.shape[0]:
+        raise ValueError(f"point counts differ: {pa.shape[0]} vs {pb.shape[0]}")
+    return emd_from_dist(cdist(pa, pb))
+
+
+def emd_from_dist(dist: np.ndarray) -> tuple[float, Assignment]:
+    """EMD from a square matrix of Euclidean distances.
 
     Exact (Jonker-Volgenant) for n <= EXACT_ASSIGNMENT_LIMIT; above that an
     epsilon-scaling auction is used, with total-cost suboptimality certified
     at <= AUCTION_EPS * n.
     """
-    pa, pb = _pts(a), _pts(b)
-    if pa.shape[0] != pb.shape[0]:
-        raise ValueError(f"point counts differ: {pa.shape[0]} vs {pb.shape[0]}")
-    n = pa.shape[0]
-    dist = cdist(pa, pb)
+    n = dist.shape[0]
     if not np.all(np.isfinite(dist)):
         raise FloatingPointError("non-finite pairwise distances in EMD")
     if n <= EXACT_ASSIGNMENT_LIMIT:
@@ -136,29 +144,30 @@ def _auction_assignment(dist: np.ndarray, eps_target: float) -> np.ndarray:
 def chamfer(a, b) -> float:
     """Symmetric squared-distance Chamfer:
     mean_a min_b ||.||^2 + mean_b min_a ||.||^2."""
-    pa, pb = _pts(a), _pts(b)
-    d2 = cdist(pa, pb, "sqeuclidean")
+    return chamfer_from_sq(cdist(_pts(a), _pts(b), "sqeuclidean"))
+
+
+def chamfer_from_sq(d2: np.ndarray) -> float:
+    """Chamfer from the (|a|, |b|) squared distances of a to b."""
     return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 
 def hausdorff_directed(s, r) -> float:
     """Directed Hausdorff: max over s of the distance to the nearest r point."""
-    ps, pr = _pts(s), _pts(r)
-    d2 = cdist(ps, pr, "sqeuclidean")
-    return float(np.sqrt(d2.min(axis=1).max()))
+    return float(hausdorff_from_sq(cdist(_pts(s), _pts(r), "sqeuclidean")))
 
 
 def hausdorff_directed_batch(s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """hausdorff_directed(s[b], r[b]) for every b of (batch, points, 3) arrays.
-
-    Bit-identical to the per-pair function, which takes the same squared
-    distances from cdist.
-    """
-    return np.sqrt(_cdist_batch(s, r, "sqeuclidean").min(axis=2).max(axis=1))
+    """hausdorff_directed(s[b], r[b]) for every b of (batch, points, 3) arrays."""
+    return hausdorff_from_sq(_cdist_batch(s, r, "sqeuclidean"))
 
 
-def hausdorff_symmetric(a, b) -> float:
-    return max(hausdorff_directed(a, b), hausdorff_directed(b, a))
+def hausdorff_from_sq(d2: np.ndarray):
+    """Directed Hausdorff s -> r from squared distances d2 of shape
+    (..., |s|, |r|), leading axes a batch; the transpose of a 2-D d2 gives
+    r -> s.  The root is taken after the min and max, which is exact since
+    sqrt is monotone."""
+    return np.sqrt(d2.min(axis=-1).max(axis=-1))
 
 
 def _cdist_batch(s: np.ndarray, r: np.ndarray, metric: str) -> np.ndarray:

@@ -208,8 +208,11 @@ class CompletionPipeline:
     def complete_batch(self, partials: np.ndarray) -> np.ndarray:
         """(batch, n, 3) partials -> (batch, n, 3) completions, through
         Network.predict: infer arithmetic whatever the networks' modes."""
-        codes = self.generator.predict(self.source_encoder().predict(partials))
-        return self.clean_ae.decoder.predict(codes).reshape(-1, self.clean_ae.spec.n, 3)
+        return self.complete_codes(self.source_encoder().predict(partials))
+
+    def complete_codes(self, codes: np.ndarray) -> np.ndarray:
+        """(batch, k) source-encoder codes -> (batch, n, 3) completions."""
+        return self.clean_ae.decode(self.generator.predict(codes))
 
     def complete(self, partial: PointSet) -> PointSet:
         if partial.n != self.clean_ae.spec.n:

@@ -7,6 +7,15 @@ collections on a 32^3 grid over [-1, 1]^3 (base-2 logarithm, so the value
 lies in [0, 1]); a high value against the repeated-single-cloud reference
 indicates mode collapse.  Everything assumes unit-sphere-normalized clouds
 and epsilon defaults to 0.03 in those units.
+
+evaluate_completions scores each pair from one matrix: d2 = cdist(c, g,
+"sqeuclidean") and d = sqrt(d2).  Accuracy takes the row minima of d,
+completeness its column minima, Chamfer and both directed Hausdorff terms
+come from d2, and EMD from d.  The scores equal those of the per-pair
+formulas (six cdist calls) bit for bit, because of two identities of scipy's
+cdist that tests/test_metrics.py pins: the euclidean metric equals the sqrt
+of the sqeuclidean one, and cdist(g, c) equals cdist(c, g).T.  Minima and
+maxima are exact, so reading them off either orientation changes nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .distances import chamfer, emd, hausdorff_symmetric
+from .distances import chamfer_from_sq, emd_from_dist, hausdorff_from_sq
 from .pointset import PointSet
 from .rng import Rng
 from .synth import CorruptionSpec, corrupt
@@ -28,22 +37,6 @@ DEFAULT_GRID = 32
 
 def _pts(x) -> np.ndarray:
     return x.points if isinstance(x, PointSet) else np.asarray(x, dtype=np.float64)
-
-
-def accuracy(comp, gt, eps: float = DEFAULT_EPS) -> float:
-    """Percent of completion points within eps of some ground-truth point."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    c, g = _pts(comp), _pts(gt)
-    if c.shape[0] == 0 or g.shape[0] == 0:
-        raise ValueError("accuracy needs non-empty point sets")
-    d = cdist(c, g).min(axis=1)
-    return 100.0 * float((d <= eps).mean())
-
-
-def completeness(comp, gt, eps: float = DEFAULT_EPS) -> float:
-    """Percent of ground-truth points within eps of some completion point."""
-    return accuracy(gt, comp, eps)
 
 
 def f1(acc: float, comp: float) -> float:
@@ -117,24 +110,36 @@ class MetricsReport:
 
 
 def evaluate_completions(completions, gts, eps: float = DEFAULT_EPS) -> MetricsReport:
+    """Per-pair scores and their means; EMD is NaN where the counts differ.
+
+    Accuracy is the percent of completion points within eps of some
+    ground-truth point, completeness the percent of ground-truth points
+    within eps of some completion point.
+    """
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     comp_list = [_pts(c) for c in completions]
     gt_list = [_pts(g) for g in gts]
     if len(comp_list) != len(gt_list):
         raise ValueError(f"{len(comp_list)} completions vs {len(gt_list)} ground truths")
     rows = []
     for i, (c, g) in enumerate(zip(comp_list, gt_list)):
-        acc = accuracy(c, g, eps)
-        com = completeness(c, g, eps)
-        cost, _ = emd(c, g) if c.shape[0] == g.shape[0] else (float("nan"), None)
+        if c.shape[0] == 0 or g.shape[0] == 0:
+            raise ValueError("evaluation needs non-empty point sets")
+        d2 = cdist(c, g, "sqeuclidean")
+        d = np.sqrt(d2)
+        acc = 100.0 * float((d.min(axis=1) <= eps).mean())
+        com = 100.0 * float((d.min(axis=0) <= eps).mean())
+        hd = max(float(hausdorff_from_sq(d2)), float(hausdorff_from_sq(d2.T)))
         rows.append(
             {
                 "index": i,
                 "accuracy": acc,
                 "completeness": com,
                 "f1": f1(acc, com),
-                "emd": cost,
-                "chamfer": chamfer(c, g),
-                "hausdorff_sym": hausdorff_symmetric(c, g),
+                "emd": emd_from_dist(d)[0] if c.shape[0] == g.shape[0] else float("nan"),
+                "chamfer": chamfer_from_sq(d2),
+                "hausdorff_sym": hd,
             }
         )
     aggregate = {
@@ -158,12 +163,16 @@ def incompleteness_sweep(
 
     Partials are regenerated from the ground-truth clouds at every r with
     seeds derived from (seed, r index, instance), so the sweep is
-    deterministic and independent of any stored dataset corruption.  Both
-    completions run through Network.predict: no autodiff node, the
-    BatchNorm running statistics whatever the networks' modes, and no
-    write into the partials or any other array the caller holds.
+    deterministic and independent of any stored dataset corruption.  Each
+    r's partials are encoded once by the baseline's encoder; when that is
+    also the pipeline's source encoder (every mode but partial_ae), the
+    pipeline completes those same codes.  Both completions run through
+    Network.predict: no autodiff node, the BatchNorm running statistics
+    whatever the networks' modes, and no write into the partials or any
+    other array the caller holds.
     """
     gts = np.stack([_pts(c) for c in gt_clouds])
+    shared = pipeline.source_encoder() is ae_baseline.encoder
     root = Rng(seed)
     rows = []
     for ri, r in enumerate(r_values):
@@ -171,8 +180,9 @@ def incompleteness_sweep(
         for i in range(gts.shape[0]):
             spec = CorruptionSpec(r=float(r), sigma=sigma, seed=root.spawn(ri * 1_000_003 + i).seed)
             partials[i] = corrupt(PointSet(gts[i]), spec).points
-        ours = pipeline.complete_batch(partials)
-        ae_out = ae_baseline.reconstruct(partials)
+        codes = ae_baseline.encode(partials)
+        ours = pipeline.complete_codes(codes) if shared else pipeline.complete_batch(partials)
+        ae_out = ae_baseline.decode(codes)
         ours_rep = evaluate_completions(ours, gts, eps)
         ae_rep = evaluate_completions(ae_out, gts, eps)
         rows.append(
@@ -185,4 +195,3 @@ def incompleteness_sweep(
             }
         )
     return rows
-

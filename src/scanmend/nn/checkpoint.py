@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..fileio import write_atomic
 from ..rng import Rng
 from .layers import BatchNorm, Network, build_layer
 from .optim import AdamState
@@ -92,8 +93,7 @@ def save_bundle(
         "extra": extra or {},
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(blob)
+    write_atomic(path, blob)
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -9,26 +9,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fileio import write_atomic
 from .pointset import PointSet
 
-_FMT = "%.17g"
+_HEADER = (
+    "ply\n"
+    "format ascii 1.0\n"
+    "element vertex {n}\n"
+    "property double x\n"
+    "property double y\n"
+    "property double z\n"
+    "end_header\n"
+)
+_ROW = "%.17g %.17g %.17g\n"
 
 
 def write_ply(path, pset: PointSet) -> None:
     pts = pset.points
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {pts.shape[0]}",
-        "property double x",
-        "property double y",
-        "property double z",
-        "end_header",
-    ]
-    for p in pts:
-        lines.append(" ".join(_FMT % c for c in p))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    n = pts.shape[0]
+    text = _HEADER.format(n=n) + (_ROW * n) % tuple(pts.ravel().tolist())
+    write_atomic(path, text.encode())
 
 
 def read_ply(path) -> PointSet:
@@ -72,12 +72,11 @@ def read_ply(path) -> PointSet:
         body = [ln for ln in lines[i:] if ln]
         if len(body) != n:
             raise ValueError(f"expected {n} vertex rows, found {len(body)}")
-        pts = np.empty((n, 3), dtype=np.float64)
-        for row, ln in enumerate(body):
-            vals = ln.split()
+        rows = [ln.split() for ln in body]
+        for row, vals in enumerate(rows):
             if len(vals) != len(props):
                 raise ValueError(f"row {row} has {len(vals)} values, expected {len(props)}")
-            pts[row] = [float(v) for v in vals[:3]]
-        return PointSet(pts)
+        coords = [float(v) for vals in rows for v in vals[:3]]
+        return PointSet(np.array(coords, dtype=np.float64).reshape(n, 3))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e

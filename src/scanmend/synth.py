@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_atomic
 from .pointset import (
     PointSet,
     downsample,
@@ -631,9 +632,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         os.makedirs(d, exist_ok=True)
         for i in range(arr.shape[0]):
             write_ply(os.path.join(d, f"{i:04d}.ply"), PointSet(arr[i]))
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(dataset.manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    text = json.dumps(dataset.manifest, sort_keys=True, indent=1) + "\n"
+    write_atomic(os.path.join(out_dir, "manifest.json"), text.encode())
 
 
 def load_dataset(in_dir) -> Dataset:

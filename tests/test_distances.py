@@ -22,9 +22,10 @@ from scanmend.distances import (
     chamfer,
     emd,
     hausdorff_directed,
-    hausdorff_symmetric,
+    hausdorff_from_sq,
     soft_hausdorff_batch,
 )
+from scanmend.metrics import evaluate_completions
 from scanmend.nn.lossops import emd_loss
 from scanmend.nn.tensor import Tensor
 from scanmend.rng import Rng
@@ -164,8 +165,12 @@ def test_hausdorff_example():
     r = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     assert hausdorff_directed(s, r) == pytest.approx(5.0, abs=1e-12)
     assert hausdorff_directed(r, s) == pytest.approx(0.0, abs=1e-12)
-    assert hausdorff_symmetric(s, r) == pytest.approx(5.0, abs=1e-12)
-    assert hausdorff_symmetric(r, s) == pytest.approx(5.0, abs=1e-12)
+    # the symmetric score of evaluate_completions, from one matrix
+    for a, b in ((s, r), (r, s)):
+        assert evaluate_completions([a], [b]).rows[0]["hausdorff_sym"] == pytest.approx(5.0, abs=1e-12)
+    d2 = cdist(s, r, "sqeuclidean")
+    assert hausdorff_from_sq(d2) == hausdorff_directed(s, r)
+    assert hausdorff_from_sq(d2.T) == hausdorff_directed(r, s)
 
 
 def test_hausdorff_directed_is_max_of_nn():

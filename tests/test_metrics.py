@@ -1,48 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from scanmend.autoencoder import Autoencoder, AutoencoderSpec
+from scanmend.distances import emd
 from scanmend.gan import CompletionPipeline, GanSpec, build_generator
 from scanmend.metrics import (
+    DEFAULT_EPS,
+    MetricsReport,
     OccupancyDistribution,
-    accuracy,
-    completeness,
     evaluate_completions,
     f1,
     incompleteness_sweep,
     jsd,
     mode_collapse_reference,
 )
+from scanmend.nn.layers import Network
 from scanmend.pointset import PointSet
 from scanmend.rng import Rng
+from scanmend.synth import CorruptionSpec, corrupt
+
+
+def _row(comp, gt, eps=DEFAULT_EPS) -> dict:
+    return evaluate_completions([comp], [gt], eps).rows[0]
 
 
 def test_accuracy_hand_example():
     comp = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     gt = np.array([[0.0, 0.0, 0.01]])
+    row = _row(comp, gt, 0.03)
     # one of two completion points lies within 0.03 of the ground truth
-    assert accuracy(comp, gt, 0.03) == pytest.approx(50.0, abs=1e-12)
+    assert row["accuracy"] == pytest.approx(50.0, abs=1e-12)
     # the single ground-truth point is 0.01 from the completion
-    assert completeness(comp, gt, 0.03) == pytest.approx(100.0, abs=1e-12)
+    assert row["completeness"] == pytest.approx(100.0, abs=1e-12)
+    assert row["f1"] == pytest.approx(200.0 / 3.0, abs=1e-12)
     assert f1(50.0, 100.0) == pytest.approx(200.0 / 3.0, abs=1e-12)
 
 
 def test_accuracy_identity_and_zero_eps():
     pts = Rng(0).normal((20, 3))
-    assert accuracy(pts, pts) == 100.0
+    assert _row(pts, pts)["accuracy"] == 100.0
     far = pts + np.array([10.0, 0.0, 0.0])
-    assert accuracy(pts, far, 0.0) == 0.0
-    assert accuracy(pts, pts.copy(), 0.0) == 100.0
+    assert _row(pts, far, 0.0)["accuracy"] == 0.0
+    assert _row(pts, far, 0.0)["completeness"] == 0.0
+    assert _row(pts, pts.copy(), 0.0)["accuracy"] == 100.0
+    assert _row(pts, pts.copy(), 0.0)["completeness"] == 100.0
 
 
 def test_accuracy_validation():
     pts = np.zeros((2, 3))
     with pytest.raises(ValueError, match="eps"):
-        accuracy(pts, pts, -0.1)
+        evaluate_completions([pts], [pts], -0.1)
     with pytest.raises(ValueError, match="non-empty"):
-        accuracy(np.zeros((0, 3)), pts)
+        evaluate_completions([np.zeros((0, 3))], [pts])
     with pytest.raises(ValueError, match="non-empty"):
-        completeness(pts, np.zeros((0, 3)))
+        evaluate_completions([pts], [np.zeros((0, 3))])
 
 
 def test_accuracy_monotone_in_eps_and_order_invariant():
@@ -50,11 +65,14 @@ def test_accuracy_monotone_in_eps_and_order_invariant():
     for _ in range(10):
         a = rng.normal((15, 3)) * 0.5
         b = rng.normal((12, 3)) * 0.5
-        vals = [accuracy(a, b, e) for e in (0.0, 0.05, 0.1, 0.5, 2.0)]
-        assert all(x <= y for x, y in zip(vals, vals[1:]))
-        assert vals[-1] == 100.0
+        rows = [_row(a, b, e) for e in (0.0, 0.05, 0.1, 0.5, 2.0)]
+        for col in ("accuracy", "completeness"):
+            vals = [row[col] for row in rows]
+            assert all(x <= y for x, y in zip(vals, vals[1:]))
+            assert vals[-1] == 100.0
         perm = rng.permutation(15)
-        assert accuracy(a[perm], b, 0.1) == accuracy(a, b, 0.1)
+        assert _row(a[perm], b, 0.1)["accuracy"] == _row(a, b, 0.1)["accuracy"]
+        assert _row(a[perm], b, 0.1)["completeness"] == _row(a, b, 0.1)["completeness"]
 
 
 def test_f1_reference_values():
@@ -183,3 +201,133 @@ def test_incompleteness_sweep_structure_and_determinism():
     assert rows == again
     other = incompleteness_sweep(pipeline, ae, gts, [0.1, 0.3], seed=6)
     assert rows != other
+
+
+# ---- one distance matrix per pair, against the per-pair formulas ----
+
+
+def _oracle_row(i, c, g, eps) -> dict:
+    """The per-pair formulas evaluate_completions replaced: six cdist calls
+    plus emd."""
+    acc = 100.0 * float((cdist(c, g).min(axis=1) <= eps).mean())
+    com = 100.0 * float((cdist(g, c).min(axis=1) <= eps).mean())
+    d2 = cdist(c, g, "sqeuclidean")
+    return {
+        "index": i,
+        "accuracy": acc,
+        "completeness": com,
+        "f1": f1(acc, com),
+        "emd": emd(c, g)[0] if len(c) == len(g) else float("nan"),
+        "chamfer": float(d2.min(axis=1).mean() + d2.min(axis=0).mean()),
+        "hausdorff_sym": max(
+            float(np.sqrt(cdist(c, g, "sqeuclidean").min(axis=1).max())),
+            float(np.sqrt(cdist(g, c, "sqeuclidean").min(axis=1).max())),
+        ),
+    }
+
+
+def _bits(values) -> list:
+    return [np.float64(v).tobytes() for v in values]
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _scored_pairs(draw):
+    """Pairs of 1-64 points at one scale, equal or unequal counts, with
+    duplicated points in a cloud and points shared by both clouds; eps 0, the
+    default, or a nearest-neighbour distance that occurs in the data."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 64))
+        m = draw(st.one_of(st.just(n), st.integers(1, 64)))
+        c = draw(hnp.arrays(np.float64, (n, 3), elements=_COORD)) * scale
+        g = draw(hnp.arrays(np.float64, (m, 3), elements=_COORD)) * scale
+        shared = draw(st.integers(0, min(n, m)))
+        g[:shared] = c[draw(st.permutations(range(n)))[:shared]]
+        pairs.append((c, g))
+    c, g = pairs[0]
+    eps = draw(st.one_of(
+        st.sampled_from([0.0, DEFAULT_EPS]),
+        st.integers(0, len(c) - 1).map(lambda j: float(cdist(c, g).min(axis=1)[j])),
+    ))
+    return pairs, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scored_pairs())
+@example(case=([(np.zeros((3, 3)), np.zeros((3, 3)))], 0.0))
+@example(case=([(np.ones((1, 3)), np.zeros((2, 3)))], float(np.sqrt(3.0))))
+def test_evaluate_completions_bit_identical_to_per_pair_formulas(case):
+    pairs, eps = case
+    rep = evaluate_completions([c for c, _ in pairs], [g for _, g in pairs], eps)
+    want = [_oracle_row(i, c, g, eps) for i, (c, g) in enumerate(pairs)]
+    assert [list(row) for row in rep.rows] == [list(row) for row in want]
+    for got_row, want_row in zip(rep.rows, want):
+        assert _bits(got_row.values()) == _bits(want_row.values())
+    cols = MetricsReport.COLUMNS
+    assert _bits(rep.aggregate[c] for c in cols) == _bits(
+        np.mean([row[c] for row in want]) for c in cols
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_COORD),
+    b=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_COORD),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_cdist_identities_the_scores_rely_on(a, b, scale):
+    # evaluate_completions reads every score from cdist(c, g, "sqeuclidean")
+    # and its sqrt; a scipy whose cdist breaks either identity must fail here.
+    a, b = a * scale, b * scale
+    d2 = cdist(a, b, "sqeuclidean")
+    assert cdist(a, b).tobytes() == np.sqrt(d2).tobytes()
+    assert cdist(b, a, "sqeuclidean").tobytes() == np.ascontiguousarray(d2.T).tobytes()
+    assert cdist(b, a).tobytes() == np.ascontiguousarray(cdist(a, b).T).tobytes()
+
+
+def _two_call_sweep(pipeline, ae, gts, r_values, sigma, eps, seed) -> list:
+    """The sweep as written before it encoded once: complete_batch and
+    reconstruct each encode the partials."""
+    root = Rng(seed)
+    rows = []
+    for ri, r in enumerate(r_values):
+        partials = np.empty_like(gts)
+        for i in range(gts.shape[0]):
+            spec = CorruptionSpec(r=float(r), sigma=sigma, seed=root.spawn(ri * 1_000_003 + i).seed)
+            partials[i] = corrupt(PointSet(gts[i]), spec).points
+        ours = evaluate_completions(pipeline.complete_batch(partials), gts, eps).aggregate
+        ae_out = evaluate_completions(ae.reconstruct(partials), gts, eps).aggregate
+        rows.append({"r": float(r), "f1_ae": ae_out["f1"], "emd_ae": ae_out["emd"],
+                     "f1_ours": ours["f1"], "emd_ours": ours["emd"]})
+    return rows
+
+
+def test_incompleteness_sweep_encodes_each_r_once(monkeypatch):
+    ae, pipeline = tiny_pipeline()
+    partial_ae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(23))
+    partial_pipe = CompletionPipeline(clean_ae=ae, generator=pipeline.generator,
+                                      partial_ae=partial_ae, mode="partial_ae")
+    gts = Rng(24).normal((4, 16, 3)) * 0.3
+    r_values = [0.1, 0.3, 0.5]
+    calls = []
+    real_predict = Network.predict
+
+    def spy(self, x):
+        calls.append(self)
+        return real_predict(self, x)
+
+    for pipe, encoders in ((pipeline, [ae.encoder]), (partial_pipe, [ae.encoder, partial_ae.encoder])):
+        want = _two_call_sweep(pipe, ae, gts, r_values, 0.02, 0.05, 9)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Network, "predict", spy)
+            rows = incompleteness_sweep(pipe, ae, gts, r_values, sigma=0.02, eps=0.05, seed=9)
+        assert rows == want
+        for enc in encoders:
+            assert sum(net is enc for net in calls) == len(r_values)
+        assert sum(net is pipe.generator for net in calls) == len(r_values)
+        assert sum(net is ae.decoder for net in calls) == 2 * len(r_values)
