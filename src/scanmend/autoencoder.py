@@ -11,6 +11,12 @@ Batch normalization is applied to all five encoder layers, including the
 final one before the max; with `linear=True` a stripped-down variant (single
 linear per-point layer + max, single linear decoder) is available as a
 capacity sanity check that can memorize a single shape when k >= 3n.
+
+An autoencoder holds no run mode.  Training calls `forward_batch(x,
+train=True)`, which normalizes by batch statistics and updates the encoder's
+running statistics; every other caller runs `encode`, `decode` or
+`reconstruct`, which go through Network.predict and use the running
+statistics only, so a trained autoencoder is frozen for them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .distances import emd
 from .nn.checkpoint import Bundle, load_bundle, save_bundle
-from .nn.layers import BatchNorm, Dense, MaxPool, Network, PointwiseDense, ReLU
+from .nn.layers import BatchNorm, MaxPool, Network, PointwiseDense, ReLU, dense_stack
 from .nn.lossops import emd_loss
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor
@@ -89,25 +95,13 @@ def _build_encoder(spec: AutoencoderSpec, rng: Rng) -> Network:
     return Network(layers, name="encoder")
 
 
-def _build_decoder(spec: AutoencoderSpec, rng: Rng) -> Network:
-    layers: list = []
-    prev = spec.k
-    widths = spec.decoder_widths
-    for width in widths[:-1]:
-        layers.append(Dense(prev, width, rng, init="kaiming"))
-        layers.append(ReLU())
-        prev = width
-    layers.append(Dense(prev, widths[-1], rng, init="xavier"))
-    return Network(layers, name="decoder")
-
-
 class Autoencoder:
-    """Encoder + decoder pair with shared train/infer mode."""
+    """Encoder + decoder pair."""
 
     def __init__(self, spec: AutoencoderSpec, rng: Rng):
         self.spec = spec
         self.encoder = _build_encoder(spec, rng)
-        self.decoder = _build_decoder(spec, rng)
+        self.decoder = dense_stack(spec.k, spec.decoder_widths, rng, "decoder")
 
     @classmethod
     def from_networks(cls, spec: AutoencoderSpec, encoder: Network, decoder: Network):
@@ -117,52 +111,30 @@ class Autoencoder:
         ae.decoder = decoder
         return ae
 
-    def train(self) -> "Autoencoder":
-        self.encoder.train()
-        self.decoder.train()
-        return self
-
-    def infer(self) -> "Autoencoder":
-        self.encoder.infer()
-        self.decoder.infer()
-        return self
-
-    def zero_grad(self) -> None:
-        self.encoder.zero_grad()
-        self.decoder.zero_grad()
-
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.encoder.param_vector(), self.decoder.param_vector()])
-
-    def grad_vector(self) -> np.ndarray:
-        return np.concatenate([self.encoder.grad_vector(), self.decoder.grad_vector()])
-
-    def set_param_vector(self, vec: np.ndarray) -> None:
-        cut = self.encoder.param_vector().size
-        self.encoder.set_param_vector(vec[:cut])
-        self.decoder.set_param_vector(vec[cut:])
-
-    def forward_batch(self, x: Tensor) -> Tensor:
-        """(batch, n, 3) -> reconstructed (batch, n, 3), differentiable."""
-        code = self.encoder.forward(x)
-        flat = self.decoder.forward(code)
+    def forward_batch(self, x: Tensor, *, train: bool) -> Tensor:
+        """(batch, n, 3) -> reconstructed (batch, n, 3), differentiable, with
+        train or infer arithmetic as `train` says."""
+        code = self.encoder.forward(x, train=train)
+        flat = self.decoder.forward(code, train=train)
         return flat.reshape(flat.data.shape[0], self.spec.n, 3)
 
     def reconstruct(self, clouds) -> np.ndarray:
-        """(batch, n, 3) clouds -> their infer-mode reconstructions, through
-        Network.predict: no graph, and the mode is left as it was."""
+        """(batch, n, 3) clouds -> their reconstructions under the running
+        statistics, through Network.predict: no graph, and no running
+        statistic changes."""
         return self.decode(self.encode(clouds))
 
     def encode(self, clouds) -> np.ndarray:
-        """(batch, n, 3) clouds -> (batch, k) infer-mode codes."""
+        """(batch, n, 3) clouds -> (batch, k) codes, through Network.predict."""
         return self.encoder.predict(_as_batch(clouds, self.spec.n))
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        """(batch, k) codes -> (batch, n, 3) infer-mode clouds."""
+        """(batch, k) codes -> (batch, n, 3) clouds, through Network.predict."""
         return self.decoder.predict(codes).reshape(-1, self.spec.n, 3)
 
     def as_single_network(self) -> Network:
-        """Layer-sharing view of encoder + decoder for gradient checks."""
+        """Layer-sharing view of encoder + decoder: their parameters in one
+        flat vector, encoder first, for the optimizer and gradient checks."""
         return Network(self.encoder.layers + self.decoder.layers, name="autoencoder")
 
 
@@ -180,9 +152,10 @@ def _as_batch(clouds, n: int) -> np.ndarray:
 
 
 def ae_loss(ae: Autoencoder, batch) -> Tensor:
-    """Mean EMD between the batch and its reconstructions (differentiable)."""
+    """Mean EMD between the batch and its train-call reconstructions
+    (differentiable)."""
     data = _as_batch(batch, ae.spec.n)
-    recon = ae.forward_batch(Tensor(data))
+    recon = ae.forward_batch(Tensor(data), train=True)
     return emd_loss(recon, data)
 
 
@@ -204,7 +177,7 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
     data = _as_batch(clouds, spec.n)
     root = Rng(cfg.seed)
     ae = Autoencoder(spec, root.spawn(0))
-    ae.train()
+    net = ae.as_single_network()
     order_rng = root.spawn(1)
     opt = AdamState(lr=cfg.lr, beta1=cfg.beta1)
     num = data.shape[0]
@@ -214,7 +187,7 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
         total = 0.0
         for start in range(0, num, cfg.batch_size):
             sel = idx[start : start + cfg.batch_size]
-            ae.zero_grad()
+            net.zero_grad()
             try:
                 loss = ae_loss(ae, data[sel])
                 val = float(loss.data)
@@ -224,19 +197,19 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
                     )
                 loss.backward()
                 del loss  # free this step's graph before the next forward
-                ae.set_param_vector(adam_step(opt, ae.param_vector(), ae.grad_vector()))
+                net.set_param_vector(adam_step(opt, net.param_vector(), net.grad_vector()))
             except FloatingPointError as e:
                 raise TrainingDivergedError(
                     f"autoencoder training diverged at epoch {epoch + 1}: {e}"
                 ) from e
             total += val * len(sel)
         losses.append(total / num)
-    ae.infer()
     return ae, losses
 
 
 def reconstruction_emd(ae: Autoencoder, clouds) -> float:
-    """Mean infer-mode reconstruction EMD over a collection of clouds."""
+    """Mean reconstruction EMD over a collection of clouds, through
+    Autoencoder.reconstruct."""
     data = _as_batch(clouds, ae.spec.n)
     recon = ae.reconstruct(data)
     return float(np.array([emd(r, d)[0] for r, d in zip(recon, data)]).mean())
@@ -258,5 +231,4 @@ def load_autoencoder(path) -> tuple[Autoencoder, Bundle]:
     bundle = load_bundle(path, expect_kind="autoencoder")
     spec = AutoencoderSpec.from_dict(bundle.extra["spec"])
     ae = Autoencoder.from_networks(spec, bundle.nets["encoder"], bundle.nets["decoder"])
-    ae.infer()
     return ae, bundle

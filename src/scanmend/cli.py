@@ -316,6 +316,9 @@ def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None, gan_loss: st
     if mode_settings(mode).latent_source == "partial":
         aes["partial"] = _load_ae(paths, "partial")
     result, out = _train_gan_mode(cfg, paths, dataset, mode, gan_loss or g["gan_loss"], aes)
+    if not result.curves:
+        print(f"gan [{mode.value}]: diverged in epoch 1, kept the initial parameters, saved {out}")
+        return 0
     last = result.curves[-1]
     note = " (diverged, restored last finite snapshot)" if result.diverged else ""
     print(

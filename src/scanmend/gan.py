@@ -25,7 +25,7 @@ import numpy as np
 from .autoencoder import Autoencoder
 from .distances import hausdorff_directed_batch
 from .nn.checkpoint import Bundle, load_bundle, save_bundle
-from .nn.layers import Dense, Network, ReLU
+from .nn.layers import Network, dense_stack
 from .nn.lossops import emd_loss, soft_hausdorff_loss
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor
@@ -108,28 +108,11 @@ def mode_settings(mode: TrainingMode, tau: float = 0.01) -> ModeSettings:
 
 
 def build_generator(spec: GanSpec, rng: Rng) -> Network:
-    return Network(
-        [
-            Dense(spec.k, GENERATOR_HIDDEN, rng, init="kaiming"),
-            ReLU(),
-            Dense(GENERATOR_HIDDEN, spec.k, rng, init="xavier"),
-        ],
-        name="generator",
-    )
+    return dense_stack(spec.k, spec.generator_widths, rng, "generator")
 
 
 def build_discriminator(spec: GanSpec, rng: Rng) -> Network:
-    w1, w2 = DISCRIMINATOR_HIDDEN
-    return Network(
-        [
-            Dense(spec.k, w1, rng, init="kaiming"),
-            ReLU(),
-            Dense(w1, w2, rng, init="kaiming"),
-            ReLU(),
-            Dense(w2, 1, rng, init="xavier"),
-        ],
-        name="discriminator",
-    )
+    return dense_stack(spec.k, spec.discriminator_widths, rng, "discriminator")
 
 
 # ---- losses ----
@@ -207,7 +190,8 @@ class CompletionPipeline:
 
     def complete_batch(self, partials: np.ndarray) -> np.ndarray:
         """(batch, n, 3) partials -> (batch, n, 3) completions, through
-        Network.predict: infer arithmetic whatever the networks' modes."""
+        Network.predict: the BatchNorm running statistics, no graph, and no
+        change to any network."""
         return self.complete_codes(self.source_encoder().predict(partials))
 
     def complete_codes(self, codes: np.ndarray) -> np.ndarray:
@@ -263,7 +247,10 @@ def train_gan(
     independent shuffles); partial_gt, aligned with partial_clouds, is used
     only by the supervised modes.  Alternation is one discriminator step then
     one generator step per batch.  On divergence the last finite epoch's
-    parameters are restored and training stops early (diverged=True).
+    parameters are restored and training stops early (diverged=True).  The
+    encoders run only through Network.predict and the decoder with
+    train=False, so no parameter or running statistic of clean_ae or
+    partial_ae changes; the generator and discriminator run with train=True.
     """
     settings = mode_settings(mode, tau=cfg.tau)
     clean = np.asarray(clean_clouds, dtype=np.float64)
@@ -280,7 +267,6 @@ def train_gan(
         source_enc = partial_ae.encoder
     else:
         source_enc = clean_ae.encoder
-    clean_ae.infer()  # the frozen decoder is differentiated in infer mode
     spec = GanSpec(k=clean_ae.spec.k)
 
     root = Rng(cfg.seed)
@@ -325,8 +311,8 @@ def train_gan(
                 if settings.train_disc:
                     disc.zero_grad()
                     l_f = disc_loss(
-                        disc.forward(Tensor(z_clean[c_sel])),
-                        disc.forward(Tensor(gen.predict(zr.data))),  # detached from G
+                        disc.forward(Tensor(z_clean[c_sel]), train=True),
+                        disc.forward(Tensor(gen.predict(zr.data)), train=True),  # detached from G
                         kind=cfg.gan_loss,
                     )
                     loss_f_val = float(l_f.data)
@@ -341,9 +327,10 @@ def train_gan(
                 gen.zero_grad()
                 disc.zero_grad()
                 decoder.zero_grad()
-                fake = gen.forward(zr)
-                f_fake = disc.forward(fake) if settings.weights.alpha > 0 else None
-                completion = decoder.forward(fake).reshape(bsz, n_pts, 3)
+                fake = gen.forward(zr, train=True)
+                f_fake = disc.forward(fake, train=True) if settings.weights.alpha > 0 else None
+                # The frozen decoder is differentiated with infer arithmetic.
+                completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
                 anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
                 l_g = gen_loss(f_fake, anchor, completion, settings.weights, kind=cfg.gan_loss)
                 loss_g_val = float(l_g.data)
@@ -387,22 +374,17 @@ def train_gan(
 
 def save_gan(
     path,
-    result_or_pipeline,
+    result: GanTrainResult,
     *,
     seed: int,
     clean_ae_hash: str,
     partial_ae_hash: str | None = None,
     gan_loss: str = "ls",
 ) -> str:
-    if isinstance(result_or_pipeline, GanTrainResult):
-        pipeline = result_or_pipeline.pipeline
-        nets = {"generator": pipeline.generator, "discriminator": result_or_pipeline.discriminator}
-    else:
-        pipeline = result_or_pipeline
-        nets = {"generator": pipeline.generator}
+    pipeline = result.pipeline
     return save_bundle(
         path,
-        nets,
+        {"generator": pipeline.generator, "discriminator": result.discriminator},
         kind="latent-gan",
         seed=seed,
         extra={

@@ -167,9 +167,9 @@ def incompleteness_sweep(
     r's partials are encoded once by the baseline's encoder; when that is
     also the pipeline's source encoder (every mode but partial_ae), the
     pipeline completes those same codes.  Both completions run through
-    Network.predict: no autodiff node, the BatchNorm running statistics
-    whatever the networks' modes, and no write into the partials or any
-    other array the caller holds.
+    Network.predict: no autodiff node, the BatchNorm running statistics, and
+    no write into the partials, any network or any other array the caller
+    holds.
     """
     gts = np.stack([_pts(c) for c in gt_clouds])
     shared = pipeline.source_encoder() is ae_baseline.encoder

@@ -145,7 +145,6 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
                 bn = section["batchnorm"][str(i)]
                 layer.running_mean = _decode_array(bn["mean"])
                 layer.running_var = _decode_array(bn["var"])
-        net.infer()
         nets[name] = net
     optimizers = {}
     for name, s in doc.get("optimizers", {}).items():

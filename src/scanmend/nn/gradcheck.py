@@ -39,16 +39,21 @@ def grad_check(
     net: Network,
     loss_fn,
     x,
+    *,
+    train: bool,
     h: float = 1e-6,
     sample: int | None = None,
     rng: Rng | None = None,
 ) -> GradCheckResult:
-    """Compare analytic and central-FD gradients of loss_fn(net.forward(x)).
+    """Compare analytic and central-FD gradients of
+    loss_fn(net.forward(x, train=train)).
 
     Relative error per parameter is |a - n| / max(|a|, |n|, 1e-12).  With
     `sample`, a seeded random subset of parameters is checked instead of all
     of them.  A max-pool tie in the unperturbed forward makes the point
-    nondifferentiable; the check is then skipped and reported as such.
+    nondifferentiable; the check is then skipped and reported as such.  The
+    BatchNorm running statistics that train forwards update are restored on
+    return.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -60,7 +65,7 @@ def grad_check(
     p0 = net.param_vector()
     try:
         net.zero_grad()
-        out = net.forward(x)
+        out = net.forward(x, train=train)
         if net.maxpool_tie_count() > 0:
             return GradCheckResult(0.0, 0, ["maxpool: skipped (nondifferentiable point)"])
         loss = loss_fn(out)
@@ -76,7 +81,7 @@ def grad_check(
 
         def value_at(vec: np.ndarray) -> float:
             net.set_param_vector(vec)
-            return float(loss_fn(net.forward(x)).data)
+            return float(loss_fn(net.forward(x, train=train)).data)
 
         max_rel = 0.0
         work = p0.copy()

@@ -1,16 +1,19 @@
 """Network layers: dense, shared per-point MLP, batchnorm, ReLU, max pool.
 
-A Network is an ordered list of layer records plus a train/infer mode flag;
-each PointwiseDense -> BatchNorm -> ReLU triple in it runs as one fused
-PointBlock node (see there for the buffers that node owns and overwrites).
-Weights are float64 Tensors; batchnorm running statistics are plain arrays,
-updated only in train mode.  Initialization is seed-controlled:
-Kaiming-uniform ahead of ReLU, Xavier for final linear layers.  `forward`
-builds autodiff nodes in the network's mode; `predict`, for inference, runs
-the same infer formulas on plain arrays with the running statistics whatever
-the mode, builds no node, and writes only into arrays it allocated, never
-into its input, even when the first layer is a ReLU or a BatchNorm.  So
-Network.predict(x) is the infer-mode forward's output, bit for bit.
+A Network is an ordered list of layer records; each PointwiseDense ->
+BatchNorm -> ReLU triple in it runs as one fused PointBlock node (see there
+for the buffers that node owns and overwrites).  Weights are float64
+Tensors; batchnorm running statistics are plain arrays.  A network holds no
+run mode: each call chooses train or infer arithmetic for itself.
+`forward(x, train=...)` takes the choice as a required keyword and builds
+autodiff nodes; only a train forward normalizes by batch statistics and
+updates the running statistics.  `predict`, for inference, runs the infer
+formulas on plain arrays with the running statistics, builds no node, and
+writes only into arrays it allocated, never into its input, even when the
+first layer is a ReLU or a BatchNorm.  So Network.predict(x) is
+forward(Tensor(x), train=False).data, bit for bit.  Initialization is
+seed-controlled: Kaiming-uniform ahead of ReLU, Xavier for final linear
+layers.
 """
 
 from __future__ import annotations
@@ -83,10 +86,10 @@ class BatchNorm:
     """Feature-wise batch normalization.
 
     On 3-axis inputs statistics are taken over batch and points jointly.
-    Train mode normalizes by batch statistics and updates the running
-    averages; infer mode uses the stored running averages only, so its output
-    is independent of batch composition.  The arithmetic works on (rows,
-    width) arrays and is shared with the fused point block.
+    A train call normalizes by batch statistics and updates the running
+    averages; an infer call uses the stored running averages only, so its
+    output is independent of batch composition.  The arithmetic works on
+    (rows, width) arrays and is shared with the fused point block.
     """
 
     kind = "batchnorm"
@@ -127,7 +130,7 @@ class BatchNorm:
         return y
 
     def backward_train(self, dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray, out=None):
-        """Accumulate the gamma and beta gradients of a train-mode forward and
+        """Accumulate the gamma and beta gradients of a train forward and
         return its input gradient, written to `out`, which may be `dy`
         itself, or to a new array when out is None."""
         m = dy.shape[0]
@@ -154,7 +157,7 @@ class BatchNorm:
         return y
 
     def backward_infer(self, dy: np.ndarray, flat: np.ndarray, mean, inv) -> np.ndarray:
-        """Accumulate the gamma and beta gradients of an infer-mode forward of
+        """Accumulate the gamma and beta gradients of an infer forward of
         `flat` and return its input gradient as a new array."""
         xhat = (flat - mean) * inv
         self.beta.accum_grad(dy.sum(axis=0))
@@ -253,10 +256,10 @@ class PointBlock:
     reduction is the three layers' own, so the outputs and gradients are
     bit-identical to running them one by one.
 
-    Train mode owns two (rows, width) arrays: the GEMM output, which it
+    A train call owns two (rows, width) arrays: the GEMM output, which it
     normalizes in place to x-hat, and the output max(x-hat * gamma + beta, 0).
     Backward takes the ReLU mask from the output and runs the BatchNorm
-    backward and then the GEMM backward in one new array.  Infer mode runs
+    backward and then the GEMM backward in one new array.  An infer call runs
     the BatchNorm affine map and the ReLU in place in the GEMM output, the
     only array it owns, so its backward recomputes the GEMM; predict runs the
     same infer arithmetic and returns that array with no node.
@@ -266,9 +269,10 @@ class PointBlock:
         self.dense, self.bn = dense, bn
 
     def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
-        """(flat input, output, (x-hat, inv) in train or (mean, inv) in infer
-        mode) of the block on array x.  `check(array, i)` raises when the output
-        of layer i is not finite; `index` is the dense layer's index."""
+        """(flat input, output, (x-hat, inv) for a train or (mean, inv) for an
+        infer call) of the block on array x.  `check(array, i)` raises when
+        the output of layer i is not finite; `index` is the dense layer's
+        index."""
         dense, bn = self.dense, self.bn
         dense.check_input(x)
         flat, h = affine(x, dense.w.data, dense.b.data)
@@ -330,21 +334,12 @@ def _forward_steps(layers: list) -> list:
 
 
 class Network:
-    """Ordered layer stack with a train/infer mode and flat parameter views."""
+    """Ordered layer stack with flat parameter views."""
 
     def __init__(self, layers: list, name: str = "net"):
         self.layers = list(layers)
         self.name = name
-        self.mode = "train"
         self._steps = _forward_steps(self.layers)
-
-    def train(self) -> "Network":
-        self.mode = "train"
-        return self
-
-    def infer(self) -> "Network":
-        self.mode = "infer"
-        return self
 
     def _check(self, arr: np.ndarray, i: int) -> None:
         if not np.all(np.isfinite(arr)):
@@ -358,13 +353,13 @@ class Network:
         if n == 0 or not isinstance(self.layers[i], (ReLU, MaxPool)):
             self._check(arr, i)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the stack in the network's mode as autodiff nodes, each fused
-        triple as one PointBlock node; raise FloatingPointError naming the
-        first layer whose output is not finite."""
+    def forward(self, x: Tensor, *, train: bool) -> Tensor:
+        """Run the stack as autodiff nodes, each fused triple as one PointBlock
+        node, with train or infer arithmetic as `train` says; raise
+        FloatingPointError naming the first layer whose output is not
+        finite."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        train = self.mode == "train"
         for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):
                 x = step.forward(x, train, self._check, i)
@@ -374,9 +369,9 @@ class Network:
         return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """forward(Tensor(x)).data in infer mode, whatever the mode, bit for bit
-        and with the same FloatingPointError, but with no graph; x is never
-        written to, and each intermediate is freed once the next step reads it."""
+        """forward(Tensor(x), train=False).data, bit for bit and with the same
+        FloatingPointError, but with no graph; x is never written to, and each
+        intermediate is freed once the next step reads it."""
         x = np.asarray(x, dtype=np.float64)
         for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):
@@ -430,6 +425,18 @@ class Network:
     def architecture_hash(self) -> str:
         canon = json.dumps(self.layer_specs(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def dense_stack(n_in: int, widths: tuple, rng: Rng, name: str) -> Network:
+    """Dense layers of `widths` on n_in features: Kaiming init and a ReLU
+    after each hidden layer, Xavier init on the last, drawn from rng in
+    layer order."""
+    layers: list = []
+    for width in widths[:-1]:
+        layers += [Dense(n_in, width, rng, init="kaiming"), ReLU()]
+        n_in = width
+    layers.append(Dense(n_in, widths[-1], rng, init="xavier"))
+    return Network(layers, name=name)
 
 
 def build_layer(spec: dict, rng: Rng):

@@ -18,17 +18,16 @@ Three rules keep memory behavior sane across long training runs:
 * No operation writes into an array another node holds: in-place updates
   touch only arrays the operation itself just allocated.  A closure may
   therefore capture its own output array (ReLU derives its mask from it).
-  The fused point block (`layers.PointBlock`) is the widest case: in train
-  mode it normalizes its own GEMM output in place to x-hat and writes its
+  The fused point block (`layers.PointBlock`) is the widest case: a train
+  call normalizes its own GEMM output in place to x-hat and writes its
   output into a second array; its backward overwrites one array it
   allocates, never the output gradient it receives, its x-hat or its
-  output.  In infer mode it works in place in its GEMM output, which is
-  its output array, so its backward recomputes the GEMM.
+  output.  An infer call works in place in its GEMM output, which is its
+  output array, so its backward recomputes the GEMM.
   `Network.predict`, the inference path, keeps the same rule with no node at
-  all: it builds no Tensor, normalizes by the BatchNorm running statistics
-  whatever the network's mode, and writes only into arrays it allocated
-  itself, never into its input, even when the first layer is a ReLU or a
-  BatchNorm.
+  all: it builds no Tensor, normalizes by the BatchNorm running statistics,
+  and writes only into arrays it allocated itself, never into its input,
+  even when the first layer is a ReLU or a BatchNorm.
 * Gradients are allocated lazily: `grad` is None until backward reaches the
   tensor.  Accumulation always rebinds (`grad = grad + g`) and never mutates
   an existing array, so a gradient may safely alias its consumer's gradient
@@ -194,14 +193,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self * other ** -1.0
-        return self * (1.0 / np.asarray(other, dtype=np.float64))
-
-    def __rtruediv__(self, other):
-        return other * self ** -1.0
-
     def __pow__(self, exponent: float):
         e = float(exponent)
         out = Tensor(self.data**e, (self,))
@@ -258,32 +249,12 @@ class Tensor:
         out._backward = backward
         return out
 
-    def exp(self):
-        e = np.exp(self.data)
-        out = Tensor(e, (self,))
-
-        def backward(g):
-            self.accum_grad(g * e)
-
-        out._backward = backward
-        return out
-
     def log(self):
         out = Tensor(np.log(self.data), (self,))
         base = self.data
 
         def backward(g):
             self.accum_grad(g / base)
-
-        out._backward = backward
-        return out
-
-    def sqrt(self):
-        root = np.sqrt(self.data)
-        out = Tensor(root, (self,))
-
-        def backward(g):
-            self.accum_grad(g * 0.5 / root)
 
         out._backward = backward
         return out

@@ -92,23 +92,20 @@ def test_criterion_02_gradient_integrity():
         "maxpool": (Network([PointwiseDense(3, 4, Rng(4)), MaxPool()]), (2, 9, 3)),
     }
     for name, (net, shape) in isolated.items():
-        net.train()
-        res = grad_check(net, sum_loss, rng.normal(shape), rng=Rng(5))
+        res = grad_check(net, sum_loss, rng.normal(shape), train=True, rng=Rng(5))
         errs[f"layer:{name}"] = res.max_rel_err
-        net.infer()
-        res = grad_check(net, sum_loss, rng.normal(shape), rng=Rng(6))
+        res = grad_check(net, sum_loss, rng.normal(shape), train=False, rng=Rng(6))
         errs[f"layer:{name}:infer"] = res.max_rel_err
 
     # (b) the full autoencoder under the EMD objective
     ae = Autoencoder(AutoencoderSpec(n=24, k=8), Rng(7))
     net = ae.as_single_network()
-    net.train()
     batch = rng.normal((2, 24, 3))
 
     def ae_emd(out):
         return emd_loss(out.reshape(2, 24, 3), batch)
 
-    res = grad_check(net, ae_emd, batch, sample=300, rng=Rng(8))
+    res = grad_check(net, ae_emd, batch, train=True, sample=300, rng=Rng(8))
     errs["ae+emd"] = res.max_rel_err
 
     # (c) the full generator path under the soft-Hausdorff objective
@@ -116,18 +113,16 @@ def test_criterion_02_gradient_integrity():
     gen = build_generator(spec, Rng(9))
     disc = build_discriminator(spec, Rng(10))
     dec_ae = Autoencoder(AutoencoderSpec(n=24, k=8), Rng(11))
-    dec_ae.infer()
-    disc.infer()
     anchor = rng.normal((2, 24, 3))
     weights = LossWeights(0.25, 0.75, "hl", tau=0.01)
 
     def gan_objective(fake):
         disc.zero_grad()
         dec_ae.decoder.zero_grad()
-        completion = dec_ae.decoder.forward(fake).reshape(2, 24, 3)
-        return gen_loss(disc.forward(fake), anchor, completion, weights)
+        completion = dec_ae.decoder.forward(fake, train=False).reshape(2, 24, 3)
+        return gen_loss(disc.forward(fake, train=False), anchor, completion, weights)
 
-    res = grad_check(gen, gan_objective, rng.normal((2, 8)), rng=Rng(12))
+    res = grad_check(gen, gan_objective, rng.normal((2, 8)), train=True, rng=Rng(12))
     errs["generator+soft-hl"] = res.max_rel_err
 
     elapsed = time.monotonic() - start
@@ -153,15 +148,14 @@ def test_criterion_03_f1_reference_rows():
 
 def test_criterion_04_encoder_permutation_invariance():
     ae = Autoencoder(AutoencoderSpec(n=128, k=16), Rng(404))
-    ae.infer()
     rng = Rng(405)
     checked = 0
     for _ in range(20):
         cloud = rng.normal((128, 3))
-        base = ae.encoder.forward(Tensor(cloud[None])).data.copy()
+        base = ae.encoder.forward(Tensor(cloud[None]), train=False).data.copy()
         for _ in range(100):
             perm = rng.permutation(128)
-            z = ae.encoder.forward(Tensor(cloud[perm][None])).data
+            z = ae.encoder.forward(Tensor(cloud[perm][None]), train=False).data
             assert np.array_equal(base, z)
             checked += 1
     report(4, f"{checked} permuted encodings bit-identical")

@@ -35,7 +35,7 @@ def test_ae_loss_unit_shift_example():
     class Shifted:
         spec = ae.spec
 
-        def forward_batch(self, x):
+        def forward_batch(self, x, *, train):
             return x + np.array([0.0, 0.0, 1.0])
 
     loss = ae_loss(Shifted(), batch)
@@ -72,16 +72,6 @@ def test_encode_decode_contracts():
         ae.decoder.predict(np.zeros((1, 5)))
 
 
-def test_encode_preserves_network_mode():
-    ae = Autoencoder(AutoencoderSpec(n=8, k=4), Rng(7)).train()
-    clouds = Rng(8).normal((1, 8, 3))
-    for mode in ("train", "infer"):
-        ae.encoder.mode = ae.decoder.mode = mode
-        ae.decoder.predict(ae.encoder.predict(clouds))
-        ae.reconstruct(clouds)
-        assert (ae.encoder.mode, ae.decoder.mode) == (mode, mode)
-
-
 def test_linear_ae_memorizes_single_shape():
     # k >= 3n makes a single shape exactly representable (the decoder bias
     # alone suffices); training must drive its reconstruction loss near zero.
@@ -102,7 +92,9 @@ def test_train_ae_loss_decreases_and_is_deterministic():
     ae1, l1 = train_ae(data, spec, cfg)
     ae2, l2 = train_ae(data, spec, cfg)
     assert l1 == l2
-    assert np.array_equal(ae1.param_vector(), ae2.param_vector())
+    assert np.array_equal(
+        ae1.as_single_network().param_vector(), ae2.as_single_network().param_vector()
+    )
     assert l1[-1] < l1[0]
     assert len(l1) == 12
     # a different seed gives a different trajectory
@@ -126,16 +118,17 @@ def test_train_ae_divergence_raises():
 def test_save_load_round_trip(tmp_path):
     ae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(13))
     # move BN stats off init so the round trip covers them
-    ae.train()
     ae.forward_batch(__import__("scanmend.nn.tensor", fromlist=["Tensor"]).Tensor(
         Rng(14).normal((3, 16, 3))
-    ))
+    ), train=True)
     path = tmp_path / "ae.json"
     save_autoencoder(path, ae, seed=5)
     back, bundle = load_autoencoder(path)
     assert bundle.seed == 5
     assert back.spec == ae.spec
-    assert np.array_equal(back.param_vector(), ae.param_vector())
+    assert np.array_equal(
+        back.as_single_network().param_vector(), ae.as_single_network().param_vector()
+    )
     # loaded model reproduces latent codes bit for bit
     clouds = Rng(15).normal((1, 16, 3))
     assert np.array_equal(back.encoder.predict(clouds), ae.encoder.predict(clouds))

@@ -21,9 +21,10 @@ from scanmend.config import (
     resolve_config,
     validate_config,
 )
-from scanmend.gan import TrainingMode
+from scanmend.gan import GanSpec, TrainingMode, build_generator, load_gan
 from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
+from scanmend.rng import Rng
 from scanmend.synth import FAMILIES
 
 
@@ -456,6 +457,28 @@ def test_lr_regression_reaches_gan_config(micro_run, tmp_path, monkeypatch):
     assert main(["train-gan", *args, "--mode", "no_gan"]) == 0
     assert main(["ablate", *args]) == 0
     assert seen == [0.0125] * (1 + len(TrainingMode))
+
+
+def test_train_gan_diverging_in_first_epoch_is_one_line(micro_run, tmp_path, capsys):
+    # A step size this large overflows the second batch of epoch 1, so no
+    # epoch finishes and the loss curve has no row.
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps({**MICRO, "gan": {**MICRO["gan"], "lr": 1e300}}))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train-gan", "--run", str(clone), "--config", str(cfg_path)]) == 0
+    ckpt = clone / "checkpoints" / "gan_default.json"
+    assert capsys.readouterr() == (
+        f"gan [default]: diverged in epoch 1, kept the initial parameters, saved {ckpt}\n", ""
+    )
+    curve = (clone / "reports" / "gan_default_loss.csv").read_text().splitlines()
+    assert curve == ["epoch,L_F,L_G,hard_HL,adv_term"]
+    seed = json.loads((clone / "config.resolved.json").read_text())["gan"]["seed"]
+    initial = build_generator(GanSpec(k=MICRO["ae"]["k"]), Rng(seed).spawn(0))
+    saved = load_gan(ckpt).nets["generator"]
+    assert np.array_equal(saved.param_vector(), initial.param_vector())
 
 
 def test_unexpected_error_is_one_line(tmp_path, monkeypatch, capsys):

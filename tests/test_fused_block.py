@@ -110,8 +110,6 @@ def test_point_block_bit_identical_to_three_layers(
     bn.running_mean = rng.normal(width)
     bn.running_var = rng.uniform(width) + 0.1
     net = Network([dense, bn, ReLU()])
-    if not train:
-        net.infer()
     data = rng.normal((batch, 2 * points, n_in)) * 3.0 + 0.5
     if layout == "strided":
         data = data[:, ::2]
@@ -127,7 +125,7 @@ def test_point_block_bit_identical_to_three_layers(
     )
 
     x = Tensor(data)
-    out = net.forward(x)
+    out = net.forward(x, train=train)
     assert out._parents == (x, dense.w, dense.b, bn.gamma, bn.beta)
     if reshaped:
         # The consumer passes its own gradient array through a reshape; the
@@ -173,7 +171,7 @@ def _pipeline_digest(tmp_path) -> str:
     partial = clean[:, :8].repeat(2, axis=1) + rng.normal((12, 16, 3)) * 0.02
     spec = AutoencoderSpec(n=16, k=8)
     ae, losses = train_ae(clean, spec, AeTrainConfig(lr=1e-3, batch_size=6, epochs=4, seed=2))
-    put(ae.param_vector())
+    put(ae.as_single_network().param_vector())
     put(losses)
     for layer in ae.encoder.layers:
         if isinstance(layer, BatchNorm):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanmend.autoencoder import Autoencoder, AutoencoderSpec
+from scanmend.autoencoder import Autoencoder, AutoencoderSpec, reconstruction_emd
 from scanmend.gan import (
     CompletionPipeline,
     GanSpec,
@@ -18,7 +18,9 @@ from scanmend.gan import (
     save_gan,
     train_gan,
 )
+from scanmend.metrics import incompleteness_sweep
 from scanmend.nn.gradcheck import grad_check
+from scanmend.nn.layers import BatchNorm
 from scanmend.nn.tensor import Tensor
 from scanmend.pointset import PointSet
 from scanmend.rng import Rng
@@ -106,18 +108,16 @@ def test_gen_loss_gradients_through_emd_and_disc():
     gen = build_generator(spec, Rng(0))
     disc = build_discriminator(spec, Rng(1))
     ae = Autoencoder(AutoencoderSpec(n=6, k=4), Rng(2))
-    ae.infer()
-    disc.infer()
     anchor = Rng(3).normal((2, 6, 3))
     w = LossWeights(0.25, 0.75, "emd")
 
     def loss_fn(fake):
         disc.zero_grad()
         ae.decoder.zero_grad()
-        completion = ae.decoder.forward(fake).reshape(2, 6, 3)
-        return gen_loss(disc.forward(fake), anchor, completion, w)
+        completion = ae.decoder.forward(fake, train=False).reshape(2, 6, 3)
+        return gen_loss(disc.forward(fake, train=False), anchor, completion, w)
 
-    res = grad_check(gen, loss_fn, Rng(4).normal((2, 4)))
+    res = grad_check(gen, loss_fn, Rng(4).normal((2, 4)), train=True)
     assert res.max_rel_err < 1e-4
 
 
@@ -154,8 +154,8 @@ def test_gan_spec_widths_and_network_shapes():
     gen = build_generator(spec, Rng(0))
     disc = build_discriminator(spec, Rng(1))
     z = Tensor(Rng(2).normal((5, 16)))
-    assert gen.forward(z).data.shape == (5, 16)
-    assert disc.forward(z).data.shape == (5, 1)
+    assert gen.forward(z, train=True).data.shape == (5, 16)
+    assert disc.forward(z, train=True).data.shape == (5, 1)
 
 
 # ---- pipeline ----
@@ -205,13 +205,31 @@ def test_train_gan_curves_and_determinism():
     assert r3.curves != r1.curves
 
 
+def _frozen_state(ae) -> list:
+    """Every parameter and BatchNorm running statistic of ae, as bytes."""
+    layers = ae.as_single_network().layers
+    params = [t.data.tobytes() for l in layers for _, t in l.param_items()]
+    stats = [a.tobytes() for l in layers if isinstance(l, BatchNorm)
+             for a in (l.running_mean, l.running_var)]
+    return params + stats
+
+
 def test_train_gan_freezes_autoencoder():
+    # Neither training nor any inference caller may move a parameter or a
+    # BatchNorm running statistic of either autoencoder.
     ae, clean, partial = tiny_setup()
-    before_enc = ae.encoder.param_vector()
-    before_dec = ae.decoder.param_vector()
-    train_gan(clean, partial, TrainingMode.DEFAULT, small_cfg(), clean_ae=ae)
-    assert np.array_equal(ae.encoder.param_vector(), before_enc)
-    assert np.array_equal(ae.decoder.param_vector(), before_dec)
+    pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
+    for a in (ae, pae):  # move the running statistics off their initial values
+        a.forward_batch(Tensor(clean), train=True)
+    before = [_frozen_state(ae), _frozen_state(pae)]
+    for mode in (TrainingMode.DEFAULT, TrainingMode.PARTIAL_AE):
+        res = train_gan(clean, partial, mode, small_cfg(), clean_ae=ae, partial_ae=pae)
+        assert [_frozen_state(ae), _frozen_state(pae)] == before, mode
+        res.pipeline.complete_batch(partial)
+        reconstruction_emd(ae, clean)
+        reconstruction_emd(pae, partial)
+        incompleteness_sweep(res.pipeline, ae, clean, [0.1, 0.3], seed=4)
+        assert [_frozen_state(ae), _frozen_state(pae)] == before, mode
 
 
 def test_no_gan_mode_never_touches_discriminator():

@@ -1,9 +1,9 @@
 """Network.predict, the graph-free inference path, against Network.forward.
 
-predict must return the infer-mode forward's output bit for bit on every
-network the system builds and on ad-hoc stacks, whatever the network's mode
-and the input's memory layout, and must leave its input, the mode and the
-max-pool tie count as they were.  The inference callers (completion,
+predict must return the output of forward(x, train=False) bit for bit on
+every network the system builds and on ad-hoc stacks, whatever the input's
+memory layout, and must leave its input and the max-pool tie count as they
+were.  The inference callers (completion,
 reconstruction EMD, the incompleteness sweep) must build no Tensor at all.
 """
 
@@ -77,13 +77,12 @@ KINDS = ["encoder", "linear_encoder", "decoder", "generator", "discriminator",
     batch=st.integers(1, 4),
     points=st.integers(1, 6),
     layout=st.sampled_from(["contiguous", "strided", "fortran", "readonly"]),
-    mode=st.sampled_from(["train", "infer"]),
     seed=st.integers(0, 2**16),
 )
-@example(kind="leading_relu", batch=2, points=3, layout="readonly", mode="train", seed=1)
-@example(kind="leading_batchnorm", batch=1, points=1, layout="strided", mode="train", seed=2)
-@example(kind="encoder", batch=3, points=6, layout="fortran", mode="train", seed=3)
-def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, mode, seed):
+@example(kind="leading_relu", batch=2, points=3, layout="readonly", seed=1)
+@example(kind="leading_batchnorm", batch=1, points=1, layout="strided", seed=2)
+@example(kind="encoder", batch=3, points=6, layout="fortran", seed=3)
+def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, seed):
     rng = Rng(seed)
     net, width, has_points = _build(kind, rng)
     _perturb(net, rng)
@@ -94,22 +93,18 @@ def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, mod
         x = np.asfortranarray(x)
     x.flags.writeable = layout != "readonly"
     before = x.copy()
-    net.mode = mode
 
     if kind == "mismatched":
         with pytest.raises(ValueError) as got:
             net.predict(x)
-        net.infer()
         with pytest.raises(ValueError) as want:
-            net.forward(Tensor(x))
+            net.forward(Tensor(x), train=False)
         assert str(got.value) == str(want.value)
         return
     got = net.predict(x)
-    assert net.mode == mode
     assert _same(x, before) and x.flags.writeable == (layout != "readonly")
     assert all(l.last_tie_count == -1 for l in net.layers if isinstance(l, MaxPool))
-    net.infer()
-    assert _same(got, net.forward(Tensor(x)).data)
+    assert _same(got, net.forward(Tensor(x), train=False).data)
 
 
 def _counting_tensors(monkeypatch) -> list:
@@ -126,12 +121,11 @@ def _counting_tensors(monkeypatch) -> list:
 
 def test_inference_callers_build_no_tensor(monkeypatch):
     rng = Rng(30)
-    ae = Autoencoder(AutoencoderSpec(n=16, k=K), rng.spawn(0)).train()
-    partial_ae = Autoencoder(AutoencoderSpec(n=16, k=K), rng.spawn(1)).train()
+    ae = Autoencoder(AutoencoderSpec(n=16, k=K), rng.spawn(0))
+    partial_ae = Autoencoder(AutoencoderSpec(n=16, k=K), rng.spawn(1))
     gen = build_generator(GanSpec(k=K), rng.spawn(2))
     clouds = rng.normal((4, 16, 3)) * 0.3
-    want = ae.infer().forward_batch(Tensor(clouds)).data
-    ae.train()
+    want = ae.forward_batch(Tensor(clouds), train=False).data
 
     count = _counting_tensors(monkeypatch)
     assert _same(ae.reconstruct(clouds), want)
@@ -141,6 +135,5 @@ def test_inference_callers_build_no_tensor(monkeypatch):
         reconstruction_emd(ae, clouds)
         incompleteness_sweep(pipeline, ae, clouds, [0.1, 0.3], seed=4)
     assert count[0] == 0
-    assert (ae.encoder.mode, partial_ae.encoder.mode, gen.mode) == ("train",) * 3
     Tensor(np.zeros(1))  # the counter is live
     assert count[0] == 1
