@@ -182,28 +182,31 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
     opt = AdamState(lr=cfg.lr, beta1=cfg.beta1)
     num = data.shape[0]
     losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        idx = order_rng.permutation(num)
-        total = 0.0
-        for start in range(0, num, cfg.batch_size):
-            sel = idx[start : start + cfg.batch_size]
-            net.zero_grad()
-            try:
-                loss = ae_loss(ae, data[sel])
-                val = float(loss.data)
-                if not np.isfinite(val):
+    # Overflow is caught by the finiteness checks below and reported as one
+    # TrainingDivergedError, so numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            idx = order_rng.permutation(num)
+            total = 0.0
+            for start in range(0, num, cfg.batch_size):
+                sel = idx[start : start + cfg.batch_size]
+                net.zero_grad()
+                try:
+                    loss = ae_loss(ae, data[sel])
+                    val = float(loss.data)
+                    if not np.isfinite(val):
+                        raise TrainingDivergedError(
+                            f"autoencoder loss became non-finite at epoch {epoch + 1}"
+                        )
+                    loss.backward()
+                    del loss  # free this step's graph before the next forward
+                    net.set_param_vector(adam_step(opt, net.param_vector(), net.grad_vector()))
+                except FloatingPointError as e:
                     raise TrainingDivergedError(
-                        f"autoencoder loss became non-finite at epoch {epoch + 1}"
-                    )
-                loss.backward()
-                del loss  # free this step's graph before the next forward
-                net.set_param_vector(adam_step(opt, net.param_vector(), net.grad_vector()))
-            except FloatingPointError as e:
-                raise TrainingDivergedError(
-                    f"autoencoder training diverged at epoch {epoch + 1}: {e}"
-                ) from e
-            total += val * len(sel)
-        losses.append(total / num)
+                        f"autoencoder training diverged at epoch {epoch + 1}: {e}"
+                    ) from e
+                total += val * len(sel)
+            losses.append(total / num)
     return ae, losses
 
 

@@ -4,7 +4,8 @@ Conventions fixed here and relied on everywhere else:
 
 * EMD is the minimum MEAN matched Euclidean distance over bijections, so its
   magnitude does not grow with point count (values ~0.05 on unit-sphere
-  shapes).
+  shapes).  The bijection is the exact optimum at every point count, from
+  scipy's linear_sum_assignment.
 * Chamfer uses SQUARED distances, both directions, each direction averaged
   over its own side and the two sums added.
 * Hausdorff is hard (max of nearest-neighbor distances) for evaluation; a
@@ -22,19 +23,11 @@ with the same formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .pointset import PointSet
-
-# Largest set solved by the exact O(n^3) assignment; bigger inputs go through
-# the epsilon-scaling auction, certified within n * AUCTION_EPS of optimal
-# (total cost, i.e. within AUCTION_EPS of the mean).
-EXACT_ASSIGNMENT_LIMIT = 512
-AUCTION_EPS = 1e-6
 
 
 def _pts(x) -> np.ndarray:
@@ -46,19 +39,7 @@ def _pts(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Optimal (or certified near-optimal) bijection between two point sets.
-
-    mapping[i] is the index in B matched to point i of A; cost is the mean
-    matched Euclidean distance.
-    """
-
-    mapping: np.ndarray
-    cost: float
-
-
-def emd(a, b) -> tuple[float, Assignment]:
+def emd(a, b) -> tuple[float, np.ndarray]:
     """Earth Mover's Distance between equal-size point sets: emd_from_dist
     on their Euclidean distance matrix."""
     pa, pb = _pts(a), _pts(b)
@@ -67,78 +48,18 @@ def emd(a, b) -> tuple[float, Assignment]:
     return emd_from_dist(cdist(pa, pb))
 
 
-def emd_from_dist(dist: np.ndarray) -> tuple[float, Assignment]:
-    """EMD from a square matrix of Euclidean distances.
+def emd_from_dist(dist: np.ndarray) -> tuple[float, np.ndarray]:
+    """EMD from a square matrix of Euclidean distances, as (cost, mapping).
 
-    Exact (Jonker-Volgenant) for n <= EXACT_ASSIGNMENT_LIMIT; above that an
-    epsilon-scaling auction is used, with total-cost suboptimality certified
-    at <= AUCTION_EPS * n.
+    The optimal bijection comes from the exact Jonker-Volgenant solver at
+    every size; mapping[i] is the column matched to row i, and cost is the
+    mean matched distance.
     """
-    n = dist.shape[0]
     if not np.all(np.isfinite(dist)):
         raise FloatingPointError("non-finite pairwise distances in EMD")
-    if n <= EXACT_ASSIGNMENT_LIMIT:
-        rows, cols = linear_sum_assignment(dist)
-        mapping = np.empty(n, dtype=np.int64)
-        mapping[rows] = cols
-    else:
-        mapping = _auction_assignment(dist, AUCTION_EPS)
-    cost = float(dist[np.arange(n), mapping].mean())
-    return cost, Assignment(mapping=mapping, cost=cost)
-
-
-def _auction_assignment(dist: np.ndarray, eps_target: float) -> np.ndarray:
-    """Epsilon-scaling auction for the min-cost assignment on a dense matrix.
-
-    Bertsekas' forward auction on values V = -dist: unassigned bidders raise
-    the price of their best object by (best - second best + eps).  Prices
-    persist across scaling phases; after the final phase with eps <=
-    eps_target the assignment satisfies eps-complementary slackness, hence
-    total cost <= optimal + n * eps_target.
-    """
-    n = dist.shape[0]
-    if n < 2:
-        return np.zeros(1, dtype=np.int64)
-    values = -dist
-    prices = np.zeros(n)
-    eps = max(float(dist.max() - dist.min()) / 2.0, eps_target)
-    while True:
-        owner = np.full(n, -1, dtype=np.int64)  # object -> person
-        assigned_to = np.full(n, -1, dtype=np.int64)  # person -> object
-        unassigned = list(range(n))
-        while unassigned:
-            bidders = np.array(unassigned, dtype=np.int64)
-            vals = values[bidders] - prices[None, :]
-            m = np.arange(len(bidders))
-            best_j = np.argmax(vals, axis=1)
-            best_v = vals[m, best_j]
-            vals[m, best_j] = -np.inf
-            second_v = vals.max(axis=1)
-            bids = prices[best_j] + best_v - second_v + eps
-            # Highest bid per object wins; ascending sort makes the largest
-            # bid the last (surviving) write per object.
-            order = np.argsort(bids, kind="stable")
-            win_bid = np.full(n, -np.inf)
-            win_person = np.full(n, -1, dtype=np.int64)
-            win_bid[best_j[order]] = bids[order]
-            win_person[best_j[order]] = bidders[order]
-            next_unassigned = []
-            for j in np.flatnonzero(win_person >= 0):
-                prev = owner[j]
-                if prev >= 0:
-                    assigned_to[prev] = -1
-                    next_unassigned.append(int(prev))
-                winner = win_person[j]
-                owner[j] = winner
-                assigned_to[winner] = int(j)
-                prices[j] = win_bid[j]
-            for i in bidders:  # bidders outbid in this sweep go around again
-                if assigned_to[i] < 0:
-                    next_unassigned.append(int(i))
-            unassigned = next_unassigned
-        if eps <= eps_target:
-            return assigned_to
-        eps = max(eps / 7.0, eps_target)
+    # On a square matrix every row is assigned, so rows is arange(n).
+    rows, mapping = linear_sum_assignment(dist)
+    return float(dist[rows, mapping].mean()), mapping
 
 
 def chamfer(a, b) -> float:

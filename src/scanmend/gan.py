@@ -85,26 +85,28 @@ class ModeSettings:
     weights: LossWeights
     recon_target: str  # "input" | "gt"
     latent_source: str  # "clean" | "partial"
-    train_disc: bool
+
+    @property
+    def train_disc(self) -> bool:
+        """A discriminator is trained exactly when the adversarial term counts."""
+        return self.weights.alpha > 0
+
+
+# mode -> (alpha, beta, recon_kind, recon_target, latent_source)
+_MODE_TABLE = {
+    TrainingMode.DEFAULT: (0.25, 0.75, "hl", "input", "clean"),
+    TrainingMode.PARTIAL_AE: (0.25, 0.75, "hl", "input", "partial"),
+    TrainingMode.EMD_RECON: (0.25, 0.75, "emd", "input", "clean"),
+    TrainingMode.NO_GAN: (0.0, 1.0, "hl", "input", "clean"),
+    TrainingMode.NO_RECON: (1.0, 0.0, "hl", "input", "clean"),
+    TrainingMode.SUPERVISED_EMD: (0.0, 1.0, "emd", "gt", "clean"),
+    TrainingMode.SUPERVISED_EMD_GAN: (0.25, 0.75, "emd", "gt", "clean"),
+}
 
 
 def mode_settings(mode: TrainingMode, tau: float = 0.01) -> ModeSettings:
-    mode = TrainingMode(mode)
-    table = {
-        TrainingMode.DEFAULT: (LossWeights(0.25, 0.75, "hl", tau), "input", "clean", True),
-        TrainingMode.PARTIAL_AE: (LossWeights(0.25, 0.75, "hl", tau), "input", "partial", True),
-        TrainingMode.EMD_RECON: (LossWeights(0.25, 0.75, "emd", tau), "input", "clean", True),
-        TrainingMode.NO_GAN: (LossWeights(0.0, 1.0, "hl", tau), "input", "clean", False),
-        TrainingMode.NO_RECON: (LossWeights(1.0, 0.0, "hl", tau), "input", "clean", True),
-        TrainingMode.SUPERVISED_EMD: (LossWeights(0.0, 1.0, "emd", tau), "gt", "clean", False),
-        TrainingMode.SUPERVISED_EMD_GAN: (
-            LossWeights(0.25, 0.75, "emd", tau),
-            "gt",
-            "clean",
-            True,
-        ),
-    }
-    return ModeSettings(*table[mode])
+    alpha, beta, recon_kind, recon_target, latent_source = _MODE_TABLE[TrainingMode(mode)]
+    return ModeSettings(LossWeights(alpha, beta, recon_kind, tau), recon_target, latent_source)
 
 
 def build_generator(spec: GanSpec, rng: Rng) -> Network:
@@ -289,77 +291,81 @@ def train_gan(
     snapshot = (gen.param_vector(), disc.param_vector())
     diverged = False
     n_partial, n_clean = partial.shape[0], clean.shape[0]
-    for epoch in range(cfg.epochs):
-        p_order = order_rng.permutation(n_partial)
-        c_order = order_rng.permutation(n_clean)
-        sums = {"L_F": 0.0, "L_G": 0.0, "hard_HL": 0.0, "adv_term": 0.0}
-        batches = 0
-        c_pos = 0
-        for start in range(0, n_partial, cfg.batch_size):
-            p_sel = p_order[start : start + cfg.batch_size]
-            bsz = len(p_sel)
-            c_sel = np.empty(bsz, dtype=np.int64)
-            for j in range(bsz):  # cycle through the clean pool, reshuffling on wrap
-                if c_pos == n_clean:
-                    c_order = order_rng.permutation(n_clean)
-                    c_pos = 0
-                c_sel[j] = c_order[c_pos]
-                c_pos += 1
-            zr = Tensor(z_partial[p_sel])
-            loss_f_val = 0.0
-            try:
-                if settings.train_disc:
+    # Overflow is caught by the finiteness checks below, which restore the
+    # last finite epoch, so numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            p_order = order_rng.permutation(n_partial)
+            c_order = order_rng.permutation(n_clean)
+            sums = {"L_F": 0.0, "L_G": 0.0, "hard_HL": 0.0, "adv_term": 0.0}
+            batches = 0
+            c_pos = 0
+            for start in range(0, n_partial, cfg.batch_size):
+                p_sel = p_order[start : start + cfg.batch_size]
+                bsz = len(p_sel)
+                c_sel = np.empty(bsz, dtype=np.int64)
+                for j in range(bsz):  # cycle through the clean pool, reshuffling on wrap
+                    if c_pos == n_clean:
+                        c_order = order_rng.permutation(n_clean)
+                        c_pos = 0
+                    c_sel[j] = c_order[c_pos]
+                    c_pos += 1
+                zr = Tensor(z_partial[p_sel])
+                loss_f_val = 0.0
+                try:
+                    if settings.train_disc:
+                        disc.zero_grad()
+                        l_f = disc_loss(
+                            disc.forward(Tensor(z_clean[c_sel]), train=True),
+                            # the fake batch is detached from G
+                            disc.forward(Tensor(gen.predict(zr.data)), train=True),
+                            kind=cfg.gan_loss,
+                        )
+                        loss_f_val = float(l_f.data)
+                        if not np.isfinite(loss_f_val):
+                            diverged = True
+                            break
+                        l_f.backward()
+                        disc.set_param_vector(
+                            adam_step(opt_d, disc.param_vector(), disc.grad_vector())
+                        )
+
+                    gen.zero_grad()
                     disc.zero_grad()
-                    l_f = disc_loss(
-                        disc.forward(Tensor(z_clean[c_sel]), train=True),
-                        disc.forward(Tensor(gen.predict(zr.data)), train=True),  # detached from G
-                        kind=cfg.gan_loss,
-                    )
-                    loss_f_val = float(l_f.data)
-                    if not np.isfinite(loss_f_val):
+                    decoder.zero_grad()
+                    fake = gen.forward(zr, train=True)
+                    f_fake = disc.forward(fake, train=True) if settings.train_disc else None
+                    # The frozen decoder is differentiated with infer arithmetic.
+                    completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
+                    anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
+                    l_g = gen_loss(f_fake, anchor, completion, settings.weights, kind=cfg.gan_loss)
+                    loss_g_val = float(l_g.data)
+                    if not np.isfinite(loss_g_val):
                         diverged = True
                         break
-                    l_f.backward()
-                    disc.set_param_vector(
-                        adam_step(opt_d, disc.param_vector(), disc.grad_vector())
-                    )
-
-                gen.zero_grad()
-                disc.zero_grad()
-                decoder.zero_grad()
-                fake = gen.forward(zr, train=True)
-                f_fake = disc.forward(fake, train=True) if settings.weights.alpha > 0 else None
-                # The frozen decoder is differentiated with infer arithmetic.
-                completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
-                anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
-                l_g = gen_loss(f_fake, anchor, completion, settings.weights, kind=cfg.gan_loss)
-                loss_g_val = float(l_g.data)
-                if not np.isfinite(loss_g_val):
+                    l_g.backward()
+                    gen.set_param_vector(adam_step(opt_g, gen.param_vector(), gen.grad_vector()))
+                except FloatingPointError:
                     diverged = True
                     break
-                l_g.backward()
-                gen.set_param_vector(adam_step(opt_g, gen.param_vector(), gen.grad_vector()))
-            except FloatingPointError:
-                diverged = True
-                break
 
-            hard = np.mean(hausdorff_directed_batch(partial[p_sel], completion.data))
-            adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
-            # Free this step's graph before the next batch's forward builds one.
-            del fake, f_fake, completion, l_g
-            sums["L_F"] += loss_f_val
-            sums["L_G"] += loss_g_val
-            sums["hard_HL"] += float(hard)
-            sums["adv_term"] += adv
-            batches += 1
-        if diverged:
-            gen.set_param_vector(snapshot[0])
-            disc.set_param_vector(snapshot[1])
-            break
-        snapshot = (gen.param_vector(), disc.param_vector())
-        curves.append(
-            {"epoch": epoch + 1, **{k: v / max(batches, 1) for k, v in sums.items()}}
-        )
+                hard = np.mean(hausdorff_directed_batch(partial[p_sel], completion.data))
+                adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
+                # Free this step's graph before the next batch's forward builds one.
+                del fake, f_fake, completion, l_g
+                sums["L_F"] += loss_f_val
+                sums["L_G"] += loss_g_val
+                sums["hard_HL"] += float(hard)
+                sums["adv_term"] += adv
+                batches += 1
+            if diverged:
+                gen.set_param_vector(snapshot[0])
+                disc.set_param_vector(snapshot[1])
+                break
+            snapshot = (gen.param_vector(), disc.param_vector())
+            curves.append(
+                {"epoch": epoch + 1, **{k: v / max(batches, 1) for k, v in sums.items()}}
+            )
     pipeline = CompletionPipeline(
         clean_ae=clean_ae,
         generator=gen,

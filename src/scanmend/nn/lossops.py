@@ -35,8 +35,8 @@ def emd_loss(pred: Tensor, target) -> Tensor:
     costs = np.empty(batch)
     grads = np.zeros_like(p)
     for b in range(batch):
-        costs[b], asg = distances.emd(p[b], t[b])
-        diff = p[b] - t[b][asg.mapping]
+        costs[b], mapping = distances.emd(p[b], t[b])
+        diff = p[b] - t[b][mapping]
         norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
         nz = norms[:, 0] > 0.0
         grads[b][nz] = diff[nz] / (norms[nz] * n)

@@ -467,8 +467,7 @@ def test_train_gan_diverging_in_first_epoch_is_one_line(micro_run, tmp_path, cap
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps({**MICRO, "gan": {**MICRO["gan"], "lr": 1e300}}))
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["train-gan", "--run", str(clone), "--config", str(cfg_path)]) == 0
+    assert main(["train-gan", "--run", str(clone), "--config", str(cfg_path)]) == 0
     ckpt = clone / "checkpoints" / "gan_default.json"
     assert capsys.readouterr() == (
         f"gan [default]: diverged in epoch 1, kept the initial parameters, saved {ckpt}\n", ""
@@ -479,6 +478,19 @@ def test_train_gan_diverging_in_first_epoch_is_one_line(micro_run, tmp_path, cap
     initial = build_generator(GanSpec(k=MICRO["ae"]["k"]), Rng(seed).spawn(0))
     saved = load_gan(ckpt).nets["generator"]
     assert np.array_equal(saved.param_vector(), initial.param_vector())
+
+
+def test_train_ae_diverging_is_one_line(micro_run, tmp_path, capsys):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps({**MICRO, "ae": {**MICRO["ae"], "lr": 1e300}}))
+    capsys.readouterr()
+    assert main(["train-ae", "--run", str(clone), "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: training diverged: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_unexpected_error_is_one_line(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Distance-function tests.
 
 EMD is checked against a brute-force oracle that enumerates every bijection,
-so any systematic error in the assignment solver (exact or auction) shows up
+so any systematic error in the assignment solver shows up
 as a mismatch rather than hiding behind a shared implementation.
 """
 
@@ -15,10 +15,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from scanmend import distances
 from scanmend.distances import (
-    AUCTION_EPS,
-    EXACT_ASSIGNMENT_LIMIT,
-    _auction_assignment,
     chamfer,
     emd,
     hausdorff_directed,
@@ -43,9 +41,9 @@ def brute_force_emd(a, b):
 def test_emd_two_point_example():
     a = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     b = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
-    cost, asg = emd(a, b)
+    cost, mapping = emd(a, b)
     assert cost == pytest.approx(1.0, abs=1e-12)
-    assert asg.mapping.tolist() == [0, 1]
+    assert mapping.tolist() == [0, 1]
 
 
 def test_emd_brute_force_oracle():
@@ -54,9 +52,9 @@ def test_emd_brute_force_oracle():
         n = 2 + trial % 6
         a = rng.uniform((n, 3)) * 2.0 - 1.0
         b = rng.uniform((n, 3)) * 2.0 - 1.0
-        cost, asg = emd(a, b)
+        cost, mapping = emd(a, b)
         assert cost == pytest.approx(brute_force_emd(a, b), abs=1e-9)
-        assert sorted(asg.mapping.tolist()) == list(range(n))
+        assert sorted(mapping.tolist()) == list(range(n))
 
 
 def test_emd_properties():
@@ -115,30 +113,24 @@ def test_emd_grad_zero_at_coincident_points():
     assert np.allclose(g[1], [-0.5, 0.0, 0.0])
 
 
-def test_auction_matches_exact_above_limit():
-    n = EXACT_ASSIGNMENT_LIMIT + 8
+def test_emd_exact_above_512_points(monkeypatch):
+    n = 520
     rng = Rng(15)
     a = rng.uniform((n, 3))
     b = rng.uniform((n, 3))
-    cost, asg = emd(a, b)
-    assert sorted(asg.mapping.tolist()) == list(range(n))
     dist = cdist(a, b)
     rows, cols = linear_sum_assignment(dist)
-    exact = dist[rows, cols].mean()
-    assert cost >= exact - 1e-12
-    assert cost - exact <= AUCTION_EPS  # total gap n*eps, mean gap eps
+    calls = []
 
+    def spy(d):
+        calls.append(d.shape)
+        return linear_sum_assignment(d)
 
-def test_auction_small_matrices():
-    rng = Rng(16)
-    for n in (1, 2, 3, 5):
-        dist = rng.uniform((n, n)) if n > 1 else np.array([[0.3]])
-        mapping = _auction_assignment(dist, 1e-9)
-        rows, cols = linear_sum_assignment(dist)
-        exact = dist[rows, cols].sum()
-        got = dist[np.arange(n), mapping].sum()
-        assert sorted(mapping.tolist()) == list(range(n))
-        assert got <= exact + n * 1e-9
+    monkeypatch.setattr(distances, "linear_sum_assignment", spy)
+    cost, mapping = emd(a, b)
+    assert calls == [(n, n)]  # one solve per emd, as the tracer counts
+    assert sorted(mapping.tolist()) == list(range(n))
+    assert cost == dist[rows, cols].mean()
 
 
 def test_chamfer_examples():
