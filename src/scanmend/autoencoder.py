@@ -199,7 +199,8 @@ def train_ae(clouds, spec: AutoencoderSpec, cfg: AeTrainConfig) -> tuple[Autoenc
                             f"autoencoder loss became non-finite at epoch {epoch + 1}"
                         )
                     loss.backward()
-                    del loss  # free this step's graph before the next forward
+                    # backward() freed the interior nodes; drop the root too.
+                    del loss
                     net.set_param_vector(adam_step(opt, net.param_vector(), net.grad_vector()))
                 except FloatingPointError as e:
                     raise TrainingDivergedError(

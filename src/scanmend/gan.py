@@ -351,7 +351,8 @@ def train_gan(
 
                 hard = np.mean(hausdorff_directed_batch(partial[p_sel], completion.data))
                 adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
-                # Free this step's graph before the next batch's forward builds one.
+                # backward() freed the interior nodes; drop the root and the outputs
+                # held here before the next batch's forward builds a graph.
                 del fake, f_fake, completion, l_g
                 sums["L_F"] += loss_f_val
                 sums["L_G"] += loss_g_val

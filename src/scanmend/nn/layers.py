@@ -132,7 +132,8 @@ class BatchNorm:
     def backward_train(self, dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray, out=None):
         """Accumulate the gamma and beta gradients of a train forward and
         return its input gradient, written to `out`, which may be `dy`
-        itself, or to a new array when out is None."""
+        itself, or to a new array when out is None.  Overwrites `xhat` with
+        xhat * c2, so it runs at most once per forward."""
         m = dy.shape[0]
         self.beta.accum_grad(dy.sum(axis=0))
         self.gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
@@ -140,7 +141,8 @@ class BatchNorm:
         c1 = dxhat.mean(axis=0)
         c2 = np.einsum("ij,ij->j", dxhat, xhat) / m
         dxhat -= c1
-        dxhat -= xhat * c2
+        xhat *= c2
+        dxhat -= xhat
         dxhat *= inv
         return dxhat
 
@@ -258,11 +260,14 @@ class PointBlock:
 
     A train call owns two (rows, width) arrays: the GEMM output, which it
     normalizes in place to x-hat, and the output max(x-hat * gamma + beta, 0).
-    Backward takes the ReLU mask from the output and runs the BatchNorm
-    backward and then the GEMM backward in one new array.  An infer call runs
-    the BatchNorm affine map and the ReLU in place in the GEMM output, the
-    only array it owns, so its backward recomputes the GEMM; predict runs the
-    same infer arithmetic and returns that array with no node.
+    Backward takes the ReLU mask from the output and applies it, and then
+    the BatchNorm backward, in place in the output gradient it receives,
+    which it owns (see nn.tensor); the BatchNorm backward also overwrites
+    x-hat.  A read-only gradient (sum's broadcast) is masked into a new
+    array instead.  An infer call runs the BatchNorm affine map and the ReLU
+    in place in the GEMM output, the only array it owns, so its backward
+    recomputes the GEMM; predict runs the same infer arithmetic and returns
+    that array with no node.
     """
 
     def __init__(self, dense: PointwiseDense, bn: BatchNorm):
@@ -298,8 +303,11 @@ class PointBlock:
         out = Tensor(y, (x, w, b, bn.gamma, bn.beta))
 
         def backward(g):
-            # y > 0 exactly where the BatchNorm output was positive.
-            dy = (g * (y > 0.0)).reshape(-1, n_out)
+            # y > 0 exactly where the BatchNorm output was positive.  g is
+            # this node's own, unless it is sum's read-only broadcast.
+            mask = y > 0.0
+            g = np.multiply(g, mask, out=g) if g.flags.writeable else g * mask
+            dy = g.reshape(-1, n_out)
             if train:
                 dh = bn.backward_train(dy, *state, out=dy)
             else:
@@ -406,13 +414,17 @@ class Network:
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
     def set_param_vector(self, vec: np.ndarray) -> None:
+        """Copy `vec` into the parameters; ValueError, changing nothing, when
+        its length is not the parameter count."""
+        params = self.parameters()
+        expected = sum(t.data.size for t in params)
+        if vec.size != expected:
+            raise ValueError(f"parameter vector length {vec.size}, expected {expected}")
         offset = 0
-        for t in self.parameters():
+        for t in params:
             size = t.data.size
             t.data = vec[offset : offset + size].reshape(t.data.shape).copy()
             offset += size
-        if offset != vec.size:
-            raise ValueError(f"parameter vector length {vec.size}, expected {offset}")
 
     def maxpool_tie_count(self) -> int:
         return sum(l.last_tie_count for l in self.layers if isinstance(l, MaxPool))

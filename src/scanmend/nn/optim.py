@@ -30,6 +30,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError(f"non-finite gradients ({np.sum(~np.isfinite(grads))} entries)")
     state.ensure(params.size)
+    if state.m.size != params.size:
+        raise ValueError(f"Adam state holds {state.m.size} moments, params have {params.size}")
     state.t += 1
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads

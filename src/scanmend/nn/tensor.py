@@ -9,29 +9,35 @@ assigning _backward.
 
 Three rules keep memory behavior sane across long training runs:
 
-* The graph must stay acyclic in the reference-counting sense: a backward
-  closure receives the output gradient as its argument and must never
-  capture the output tensor itself (captured forward intermediates are fine
-  as plain arrays).  References then only point child -> parent, so an
-  entire step's graph is freed the moment the loss tensor is dropped, with
-  no reliance on the cycle collector.
-* No operation writes into an array another node holds: in-place updates
-  touch only arrays the operation itself just allocated.  A closure may
-  therefore capture its own output array (ReLU derives its mask from it).
-  The fused point block (`layers.PointBlock`) is the widest case: a train
-  call normalizes its own GEMM output in place to x-hat and writes its
-  output into a second array; its backward overwrites one array it
-  allocates, never the output gradient it receives, its x-hat or its
-  output.  An infer call works in place in its GEMM output, which is its
-  output array, so its backward recomputes the GEMM.
+* Backward consumes the graph.  A backward closure receives the output
+  gradient as its argument and must never capture the output tensor itself
+  (captured forward intermediates are fine as plain arrays), so references
+  only point child -> parent.  backward() drops each interior node's
+  gradient, closure and parents as the walk passes it: a layer's saved
+  arrays and gradients are freed as the walk leaves the layer, the rest
+  dies with the root and the outputs the caller holds, and nothing relies
+  on the cycle collector.  A second backward() through a consumed node
+  raises RuntimeError, since its closure may have overwritten what it saved.
+* A closure owns its incoming gradient: no live tensor and no caller array
+  aliases it, so the closure may write into it (an add of two same-shape
+  parents hands the second a copy).  The exception is the read-only
+  broadcast that `sum` passes on, so an in-place closure checks
+  `g.flags.writeable`.  Forward, no operation writes into an array another
+  node holds, so a closure may capture its own output array (ReLU derives
+  its mask from it).  The fused point block (`layers.PointBlock`) is the
+  widest case: a train call normalizes its own GEMM output in place to
+  x-hat and writes its output into a second array; its backward works in
+  its incoming gradient, overwrites its x-hat and never writes its output.
+  An infer call works in place in its GEMM output, which is its output
+  array, so its backward recomputes the GEMM.
   `Network.predict`, the inference path, keeps the same rule with no node at
   all: it builds no Tensor, normalizes by the BatchNorm running statistics,
   and writes only into arrays it allocated itself, never into its input,
   even when the first layer is a ReLU or a BatchNorm.
-* Gradients are allocated lazily: `grad` is None until backward reaches the
-  tensor.  Accumulation always rebinds (`grad = grad + g`) and never mutates
-  an existing array, so a gradient may safely alias its consumer's gradient
-  when an op merely passes it through (add, reshape).
+* The root and the leaves keep their gradients.  `grad` is None until
+  backward reaches the tensor, and accumulation always rebinds
+  (`grad = grad + g`).  backward(upstream) leaves `root.grad is upstream`,
+  unchanged, and hands the root's closure a private copy.
 """
 
 from __future__ import annotations
@@ -70,6 +76,14 @@ def affine_backward(g2: np.ndarray, flat: np.ndarray, x: "Tensor", w: "Tensor", 
         b.accum_grad(g2.sum(axis=0))
 
 
+_CONSUMED = "backward() through a graph that an earlier backward() consumed"
+
+
+def _consumed(g) -> None:
+    """The closure of a node that backward() has walked past."""
+    raise RuntimeError(_CONSUMED)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "_backward", "_parents")
 
@@ -96,19 +110,23 @@ class Tensor:
     # ---- graph traversal ----
 
     def backward(self, upstream=None) -> None:
-        """Accumulate gradients of self w.r.t. every ancestor.
+        """Accumulate gradients of self w.r.t. every ancestor, consuming the
+        graph: the walk drops each interior node's gradient, closure and
+        parents as it runs that closure.  self and the leaves keep their
+        gradients.
 
         With no upstream, self must be scalar-valued and is seeded with 1.
+        Raises RuntimeError, before any closure runs, when an earlier
+        backward() consumed part of the graph.
         """
         if upstream is None:
             if self.data.size != 1:
                 raise ValueError("backward() without upstream needs a scalar tensor")
-            self.accum_grad(np.ones_like(self.data))
+            up = np.ones_like(self.data)
         else:
             up = np.asarray(upstream, dtype=np.float64)
             if up.shape != self.data.shape:
                 raise ValueError(f"upstream shape {up.shape} != tensor shape {self.data.shape}")
-            self.accum_grad(up)
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -119,14 +137,28 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(_CONSUMED)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        self.accum_grad(up)
+        # Pop rather than iterate, so that the list does not keep a passed
+        # node, and with it its value, alive.
+        while topo:
+            node = topo.pop()
+            fn, g = node._backward, node.grad
+            if fn is None:
+                continue
+            if node is self:
+                g = g.copy()
+            else:
+                node.grad = None
+            node._backward, node._parents = _consumed, ()
+            if g is not None:
+                fn(g)
 
     # ---- arithmetic ----
 
@@ -135,8 +167,11 @@ class Tensor:
             out = Tensor(self.data + other.data, (self, other))
 
             def backward(g):
-                self.accum_grad(_unbroadcast(g, self.data.shape))
-                other.accum_grad(_unbroadcast(g, other.data.shape))
+                gs = _unbroadcast(g, self.data.shape)
+                go = _unbroadcast(g, other.data.shape)
+                # Each parent owns its gradient; a read-only g is never written.
+                self.accum_grad(gs)
+                other.accum_grad(go.copy() if go is gs and g.flags.writeable else go)
 
         else:
             out = Tensor(self.data + other, (self,))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,27 @@ def test_train_ae_loss_decreases_and_is_deterministic():
     # a different seed gives a different trajectory
     _, l3 = train_ae(data, spec, AeTrainConfig(lr=5e-4, batch_size=10, epochs=12, seed=4))
     assert l3 != l1
+
+
+def test_train_step_peak_allocation():
+    # One desk-scale training step (batch 50, n = 128, k = 16) may peak at
+    # the arrays its forward saves, x-hat and the output of each encoder
+    # block, plus two arrays of the widest block: the gradient the backward
+    # is in and the input gradient it allocates.  Holding every gradient
+    # until the walk ends, or a full-size temporary per block, exceeds it.
+    spec = AutoencoderSpec(n=128, k=16)
+    ae = Autoencoder(spec, Rng(0))
+    batch = Rng(1).normal((50, spec.n, 3)) * 0.3
+    rows, item = batch.shape[0] * spec.n, 8
+    widths = spec.encoder_widths
+    bound = 2 * rows * sum(widths) * item + 2 * rows * max(widths) * item
+    tracemalloc.start()
+    try:
+        ae_loss(ae, batch).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
 
 def test_train_ae_rejects_wrong_point_count():

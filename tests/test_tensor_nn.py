@@ -28,6 +28,7 @@ from scanmend.nn.layers import (
     PointwiseDense,
     ReLU,
     build_layer,
+    dense_stack,
 )
 from scanmend.nn.lossops import emd_loss, soft_hausdorff_loss
 from scanmend.nn.optim import AdamState, adam_step
@@ -162,6 +163,94 @@ def test_graph_frees_without_cycle_collector():
         assert after - before < 200, f"leaked {after - before} objects over 50 steps"
     finally:
         gc.enable()
+
+
+def _recording(t: Tensor, seen: dict, name: str) -> None:
+    """Make t's backward closure record the gradient array it receives."""
+    fn = t._backward
+
+    def backward(g):
+        seen[name] = g
+        fn(g)
+
+    t._backward = backward
+
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
+    rng = Rng(35)
+    x = Tensor(rng.normal((3, 4)))
+    w = Tensor(rng.normal((4, 2)))
+    hidden = x.matmul(w).relu()
+    loss = (hidden**2.0).mean()
+    loss.backward()
+    assert hidden.grad is None and hidden._parents == ()
+    assert hidden.data.shape == (3, 2)  # a consumed node keeps its value
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert loss.grad.shape == ()
+
+
+def test_root_keeps_its_upstream_unchanged():
+    # The fused block's backward works in place in the gradient it receives,
+    # so as a root it must receive a copy of the caller's array.
+    rng = Rng(36)
+    net = Network([PointwiseDense(3, 4, rng), BatchNorm(4), ReLU()])
+    out = net.forward(Tensor(rng.normal((2, 5, 3))), train=True)
+    up = rng.normal((2, 5, 4))
+    kept = up.copy()
+    out.backward(up)
+    assert out.grad is up and up.tobytes() == kept.tobytes()
+
+
+def test_add_hands_same_shape_parents_distinct_gradients():
+    x = Tensor(np.ones((2, 3)))
+    a, b = x * 2.0, x * 3.0
+    seen: dict = {}
+    _recording(a, seen, "a")
+    _recording(b, seen, "b")
+    (a + b).backward(np.ones((2, 3)))
+    assert not np.shares_memory(seen["a"], seen["b"])
+    seen["a"][...] = 7.0
+    assert np.array_equal(seen["b"], np.ones((2, 3)))
+    assert np.array_equal(x.grad, np.full((2, 3), 5.0))
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = Tensor(np.arange(3.0))
+    hidden = x * 2.0
+    loss = hidden.sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    # A new graph over a consumed node fails before any closure runs, so no
+    # leaf receives a partial gradient, whichever branch the walk takes first.
+    for first in (True, False):
+        y = Tensor(np.ones(3))
+        old, fresh = (hidden * 3.0).sum(), (y * 5.0).sum()
+        again = old + fresh if first else fresh + old
+        with pytest.raises(RuntimeError, match="consumed"):
+            again.backward()
+        assert y.grad is None
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_point_block_read_only_sum_gradient_matches_explicit_upstream():
+    x0 = Rng(37).normal((2, 5, 3))
+
+    def run(upstream: bool):
+        rng = Rng(38)
+        dense, bn = PointwiseDense(3, 4, rng), BatchNorm(4)
+        bn.beta.data = rng.normal(4)  # some outputs positive, some masked
+        net = Network([dense, bn, ReLU()])
+        x = Tensor(x0.copy())
+        out = net.forward(x, train=True)
+        if upstream:
+            out.backward(np.ones_like(out.data))
+        else:
+            out.sum().backward()  # the block receives a read-only broadcast
+        return [x.grad] + [t.grad for t in net.parameters()]
+
+    for a, b in zip(run(False), run(True)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_max_over_axis_example_and_ties():
@@ -350,8 +439,17 @@ def test_param_vector_round_trip():
     assert v.size == 3 * 4 + 4 + 4 + 4  # w, b, gamma, beta
     net.set_param_vector(v * 2.0)
     assert np.allclose(net.param_vector(), v * 2.0)
-    with pytest.raises(ValueError, match="length"):
-        net.set_param_vector(np.zeros(v.size + 1))
+    # A wrong length raises before any parameter changes.
+    for size in (v.size + 1, v.size - 1):
+        with pytest.raises(ValueError, match="parameter vector length"):
+            net.set_param_vector(np.zeros(size))
+        assert np.array_equal(net.param_vector(), v * 2.0)
+    stack = dense_stack(2, (3, 2), Rng(49), "stack")
+    before = stack.param_vector()
+    for size in (before.size + 1, before.size - 1):
+        with pytest.raises(ValueError, match="parameter vector length"):
+            stack.set_param_vector(np.zeros(size))
+        assert np.array_equal(stack.param_vector(), before)
     empty = Network([ReLU()])
     assert empty.param_vector().size == 0
     assert empty.grad_vector().size == 0
@@ -415,6 +513,15 @@ def test_adam_rejects_nonfinite_gradients():
         adam_step(state, np.zeros(2), np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="params"):
         adam_step(state, np.zeros(2), np.zeros(3))
+
+
+def test_adam_rejects_state_of_another_size_unchanged():
+    state = AdamState(lr=0.1)
+    adam_step(state, np.zeros(3), np.ones(3))
+    t, m, v = state.t, state.m.copy(), state.v.copy()
+    with pytest.raises(ValueError, match="3 moments.* 4"):
+        adam_step(state, np.zeros(4), np.ones(4))
+    assert state.t == t and np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 # ---- grad_check harness on real objectives ----
