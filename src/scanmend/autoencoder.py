@@ -219,14 +219,12 @@ def reconstruction_emd(ae: Autoencoder, clouds) -> float:
     return float(np.array([emd(r, d)[0] for r, d in zip(recon, data)]).mean())
 
 
-def save_autoencoder(path, ae: Autoencoder, *, seed: int, optimizer: AdamState | None = None) -> str:
-    opts = {"ae": optimizer} if optimizer is not None else None
+def save_autoencoder(path, ae: Autoencoder, *, seed: int) -> str:
     return save_bundle(
         path,
         {"encoder": ae.encoder, "decoder": ae.decoder},
         kind="autoencoder",
         seed=seed,
-        optimizers=opts,
         extra={"spec": ae.spec.as_dict()},
     )
 

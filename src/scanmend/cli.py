@@ -45,8 +45,10 @@ from .gan import (
     save_gan,
     train_gan,
 )
-from .metrics import evaluate_completions, incompleteness_sweep, jsd, mode_collapse_reference
-from .nn.checkpoint import CheckpointError, content_hash
+from .metrics import (
+    MetricsReport, evaluate_completions, incompleteness_sweep, jsd, mode_collapse_reference
+)
+from .nn.checkpoint import CheckpointError
 from .ply import read_ply, write_ply
 from .rng import Rng
 from .synth import DatasetConfig, load_dataset, make_dataset, save_dataset
@@ -59,17 +61,6 @@ class CliError(RuntimeError):
 
 
 # ---- run directory plumbing ----
-
-
-def _threads() -> int:
-    raw = os.environ.get("SCANMEND_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"SCANMEND_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise CliError(f"SCANMEND_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _paths(cfg: dict, run_dir: str) -> dict:
@@ -180,9 +171,10 @@ def _gan_path(paths: dict, mode: str) -> str:
 
 
 def _load_ae(paths: dict, target: str):
-    """An autoencoder and the content hash of its checkpoint file."""
+    """An autoencoder and the sha256 of the checkpoint bytes it was loaded from."""
     path = _require_checkpoint(_ae_path(paths, target), f"run train-ae --target {target} first")
-    return load_autoencoder(path)[0], content_hash(path)
+    ae, bundle = load_autoencoder(path)
+    return ae, bundle.content_hash
 
 
 def _load_pipeline(paths: dict, mode: str):
@@ -224,7 +216,14 @@ def _from_section(cls, section: dict, **overrides):
     return cls(**{**kwargs, **overrides})
 
 
-def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, gan_loss: str, aes: dict):
+def _train_pool(dataset, target: str):
+    clouds = getattr(dataset, f"{target}_train")
+    if clouds.shape[0] == 0:
+        raise CliError(f"dataset has no {target}_train shapes to train on")
+    return clouds
+
+
+def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, aes: dict):
     """Train one mode's latent GAN, then save its checkpoint and loss curve.
 
     `aes` maps "clean", and "partial" where the mode encodes partial
@@ -235,10 +234,10 @@ def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, gan_los
     clean_ae, clean_hash = aes["clean"]
     partial_ae, partial_hash = aes["partial"] if settings.latent_source == "partial" else (None, None)
     result = train_gan(
-        dataset.clean_train,
-        dataset.partial_train,
+        _train_pool(dataset, "clean"),
+        _train_pool(dataset, "partial"),
         mode,
-        _from_section(GanTrainConfig, g, gan_loss=gan_loss),
+        _from_section(GanTrainConfig, g),
         clean_ae=clean_ae,
         partial_ae=partial_ae,
         partial_gt=dataset.partial_train_gt if settings.recon_target == "gt" else None,
@@ -251,12 +250,12 @@ def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, gan_los
         seed=g["seed"],
         clean_ae_hash=clean_hash,
         partial_ae_hash=partial_hash,
-        gan_loss=gan_loss,
+        gan_loss=g["gan_loss"],
     )
     _write_csv(
         os.path.join(paths["reports"], f"gan_{mode.value}_loss.csv"),
-        ["epoch", "L_F", "L_G", "hard_HL", "adv_term"],
-        [[r["epoch"], r["L_F"], r["L_G"], r["hard_HL"], r["adv_term"]] for r in result.curves],
+        result.CURVE_COLUMNS,
+        [[r[c] for c in result.CURVE_COLUMNS] for r in result.curves],
     )
     return result, out
 
@@ -268,7 +267,7 @@ def cmd_synth(cfg: dict, run_dir: str) -> int:
     d = cfg["dataset"]
     r = tuple(d["r"]) if isinstance(d["r"], list) else d["r"]
     ds_cfg = _from_section(DatasetConfig, d, families=tuple(d["families"]), r=r)
-    dataset = make_dataset(ds_cfg, threads=_threads())
+    dataset = make_dataset(ds_cfg)
     paths = _paths(cfg, run_dir)
     save_dataset(dataset, paths["dataset"])
     m = dataset.manifest
@@ -284,9 +283,7 @@ def cmd_synth(cfg: dict, run_dir: str) -> int:
 def cmd_train_ae(cfg: dict, run_dir: str, target: str = "clean") -> int:
     paths = _paths(cfg, run_dir)
     dataset = _load_dataset(paths)
-    clouds = dataset.clean_train if target == "clean" else dataset.partial_train
-    if clouds.shape[0] == 0:
-        raise CliError(f"dataset has no {target}_train shapes to train on")
+    clouds = _train_pool(dataset, target)
     a = cfg["ae"]
     spec = AutoencoderSpec(n=dataset.manifest["n"], k=a["k"], linear=a["linear"])
     ae, losses = train_ae(clouds, spec, _from_section(AeTrainConfig, a))
@@ -307,15 +304,14 @@ def cmd_train_ae(cfg: dict, run_dir: str, target: str = "clean") -> int:
     return 0
 
 
-def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None, gan_loss: str | None = None) -> int:
+def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None) -> int:
     paths = _paths(cfg, run_dir)
     dataset = _load_dataset(paths)
-    g = cfg["gan"]
-    mode = TrainingMode(mode or g["mode"])
+    mode = TrainingMode(mode or cfg["gan"]["mode"])
     aes = {"clean": _load_ae(paths, "clean")}
     if mode_settings(mode).latent_source == "partial":
         aes["partial"] = _load_ae(paths, "partial")
-    result, out = _train_gan_mode(cfg, paths, dataset, mode, gan_loss or g["gan_loss"], aes)
+    result, out = _train_gan_mode(cfg, paths, dataset, mode, aes)
     if not result.curves:
         print(f"gan [{mode.value}]: diverged in epoch 1, kept the initial parameters, saved {out}")
         return 0
@@ -396,10 +392,9 @@ def cmd_sweep(cfg: dict, run_dir: str, mode: str | None = None) -> int:
         eps=e["eps"],
         seed=e["seed"],
     )
+    cols = ("r", "f1_ae", "emd_ae", "f1_ours", "emd_ours")
     _write_csv(
-        os.path.join(paths["reports"], "sweep.csv"),
-        ["r", "f1_ae", "emd_ae", "f1_ours", "emd_ours"],
-        [[r["r"], r["f1_ae"], r["emd_ae"], r["f1_ours"], r["emd_ours"]] for r in rows],
+        os.path.join(paths["reports"], "sweep.csv"), cols, [[r[c] for c in cols] for r in rows]
     )
     for r in rows:
         print(
@@ -426,18 +421,18 @@ def cmd_ablate(cfg: dict, run_dir: str) -> int:
     aes = {target: _load_ae(paths, target) for target in ("clean", "partial")}
     table = []
     for mode in TrainingMode:
-        result, _ = _train_gan_mode(cfg, paths, dataset, mode, cfg["gan"]["gan_loss"], aes)
+        result, _ = _train_gan_mode(cfg, paths, dataset, mode, aes)
         completions = result.pipeline.complete_batch(dataset.partial_test)
         report = evaluate_completions(completions, dataset.clean_test, eps=cfg["eval"]["eps"])
         agg = report.aggregate
-        table.append([mode.value] + [agg[c] for c in report.COLUMNS])
+        table.append([mode.value] + [agg[c] for c in MetricsReport.COLUMNS])
         print(
             f"ablate [{mode.value}]: f1 {agg['f1']:.2f} emd {agg['emd']:.4f}"
             + (" (diverged)" if result.diverged else "")
         )
     _write_csv(
         os.path.join(paths["reports"], "ablation.csv"),
-        ["mode", "accuracy", "completeness", "f1", "emd", "chamfer", "hausdorff_sym"],
+        ["mode", *MetricsReport.COLUMNS],
         table,
     )
     print(f"ablation table: {os.path.join(paths['reports'], 'ablation.csv')}")
@@ -467,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gan = sub.add_parser("train-gan", parents=[common], help="train the latent mapping")
     gan.add_argument("--mode", choices=[m.value for m in TrainingMode])
-    gan.add_argument("--gan-loss", choices=["ls", "log"], dest="gan_loss")
 
     comp = sub.add_parser("complete", parents=[common], help="complete partial clouds")
     comp.add_argument("--input", required=True, help="directory of partial .ply files")
@@ -493,7 +487,7 @@ def _dispatch(args: argparse.Namespace, cfg: dict) -> int:
     if args.command == "train-ae":
         return cmd_train_ae(cfg, run, args.target)
     if args.command == "train-gan":
-        return cmd_train_gan(cfg, run, args.mode, args.gan_loss)
+        return cmd_train_gan(cfg, run, args.mode)
     if args.command == "complete":
         return cmd_complete(cfg, run, args.input, args.output, args.mode)
     if args.command == "eval":

@@ -41,7 +41,6 @@ _PAPER_SCALE = {
     "ae": {"k": 128, "lr": 0.0005, "beta1": 0.9, "batch_size": 200, "epochs": 2000, "seed": 0, "linear": False},
     "gan": {
         "lr": 0.0001,
-        "lr_regression": 0.0001,
         "beta1": 0.5,
         "batch_size": 24,
         "epochs": 1000,
@@ -176,8 +175,6 @@ SCHEMA = {
     },
     "gan": {
         "lr": _POSITIVE,
-        # absent or null: use gan.lr
-        "lr_regression": (_optional(lambda v: v is None or _positive(v)), "> 0 or null"),
         "beta1": _BETA1,
         "batch_size": _COUNT,
         "epochs": _COUNT,

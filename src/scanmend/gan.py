@@ -218,19 +218,16 @@ class GanTrainConfig:
     seed: int = 0
     tau: float = 0.01
     gan_loss: str = "ls"  # "ls" | "log"
-    # Generator step size for the modes that train no discriminator (pure
-    # regression objectives).  Adversarial step-size limits do not apply
-    # there, and at short step budgets EMD regression stalls in a mean-shape
-    # plateau below them.  None means: use lr.
-    lr_regression: float | None = None
 
 
 @dataclass
 class GanTrainResult:
     pipeline: CompletionPipeline
     discriminator: Network
-    curves: list  # rows: {"epoch", "L_F", "L_G", "hard_HL", "adv_term"}
+    curves: list  # one dict per finished epoch, keyed by CURVE_COLUMNS
     diverged: bool = False
+
+    CURVE_COLUMNS = ("epoch", "L_F", "L_G", "hard_HL", "adv_term")
 
 
 def train_gan(
@@ -246,8 +243,9 @@ def train_gan(
     """Adversarial training of the latent mapping over frozen autoencoders.
 
     clean_clouds and partial_clouds are unpaired (batches drawn with
-    independent shuffles); partial_gt, aligned with partial_clouds, is used
-    only by the supervised modes.  Alternation is one discriminator step then
+    independent shuffles, clean ones in every mode), and each must hold a
+    cloud; partial_gt, aligned with partial_clouds, is used only by the
+    supervised modes.  Alternation is one discriminator step then
     one generator step per batch.  On divergence the last finite epoch's
     parameters are restored and training stops early (diverged=True).  The
     encoders run only through Network.predict and the decoder with
@@ -257,6 +255,8 @@ def train_gan(
     settings = mode_settings(mode, tau=cfg.tau)
     clean = np.asarray(clean_clouds, dtype=np.float64)
     partial = np.asarray(partial_clouds, dtype=np.float64)
+    if len(clean) == 0 or len(partial) == 0:
+        raise ValueError(f"no clouds to train on: {len(clean)} clean, {len(partial)} partial")
     if settings.recon_target == "gt":
         if partial_gt is None:
             raise ValueError(f"mode {TrainingMode(mode).value} needs paired partial_gt clouds")
@@ -275,8 +275,7 @@ def train_gan(
     gen = build_generator(spec, root.spawn(0))
     disc = build_discriminator(spec, root.spawn(1))
     order_rng = root.spawn(2)
-    gen_lr = cfg.lr if settings.train_disc else (cfg.lr_regression or cfg.lr)
-    opt_g = AdamState(lr=gen_lr, beta1=cfg.beta1)
+    opt_g = AdamState(lr=cfg.lr, beta1=cfg.beta1)
     opt_d = AdamState(lr=cfg.lr, beta1=cfg.beta1)
 
     # Encoders are frozen, so latent codes are fixed; compute them once.  Only

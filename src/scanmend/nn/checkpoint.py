@@ -1,11 +1,12 @@
-"""Versioned JSON checkpoints for networks and optimizer state.
+"""Versioned JSON checkpoints for networks.
 
 A checkpoint bundle holds one or more named networks: layer specs, parameter
-arrays (base64 of little-endian float64), batchnorm running statistics,
-optional Adam state, the RNG seed, and free-form metadata.  Loading verifies
-the stored architecture hash against the specs; anything that does not match
-is rejected rather than silently reinterpreted.  Bundles reference other
-checkpoint files by the sha256 of their bytes.
+arrays (base64 of little-endian float64), batchnorm running statistics, the
+RNG seed, and free-form metadata.  Loading verifies the stored architecture
+hash against the specs; anything that does not match is rejected rather than
+silently reinterpreted.  Bundles reference other checkpoint files by the
+sha256 of their bytes.  Format v1 also has an "optimizers" section; the
+writer always leaves it empty and the loader ignores it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from ..fileio import write_atomic
 from ..rng import Rng
 from .layers import BatchNorm, Network, build_layer
-from .optim import AdamState
 
 CHECKPOINT_FORMAT = "scanmend-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -61,25 +61,12 @@ def _network_section(net: Network) -> dict:
     }
 
 
-def _adam_section(state: AdamState) -> dict:
-    return {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "t": state.t,
-        "m": _encode_array(state.m) if state.m is not None else None,
-        "v": _encode_array(state.v) if state.v is not None else None,
-    }
-
-
 def save_bundle(
     path,
     nets: dict[str, Network],
     *,
     kind: str,
     seed: int,
-    optimizers: dict[str, AdamState] | None = None,
     extra: dict | None = None,
 ) -> str:
     """Write a checkpoint bundle; returns the sha256 of the written bytes."""
@@ -89,7 +76,7 @@ def save_bundle(
         "kind": kind,
         "seed": seed,
         "networks": {name: _network_section(net) for name, net in nets.items()},
-        "optimizers": {name: _adam_section(s) for name, s in (optimizers or {}).items()},
+        "optimizers": {},
         "extra": extra or {},
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -107,7 +94,6 @@ class Bundle:
     kind: str
     seed: int
     nets: dict[str, Network]
-    optimizers: dict[str, AdamState]
     extra: dict = field(default_factory=dict)
     content_hash: str = ""
 
@@ -146,18 +132,10 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
                 layer.running_mean = _decode_array(bn["mean"])
                 layer.running_var = _decode_array(bn["var"])
         nets[name] = net
-    optimizers = {}
-    for name, s in doc.get("optimizers", {}).items():
-        st = AdamState(lr=s["lr"], beta1=s["beta1"], beta2=s["beta2"], eps=s["eps"], t=s["t"])
-        if s["m"] is not None:
-            st.m = _decode_array(s["m"]).reshape(-1)
-            st.v = _decode_array(s["v"]).reshape(-1)
-        optimizers[name] = st
     return Bundle(
         kind=doc["kind"],
         seed=doc["seed"],
         nets=nets,
-        optimizers=optimizers,
         extra=doc.get("extra", {}),
         content_hash=hashlib.sha256(blob).hexdigest(),
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -536,10 +535,13 @@ def _instance_rngs(root: Rng, i: int) -> tuple:
 def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
     """Generate, corrupt and split a dataset.
 
-    Every instance draws from rng streams derived only from (seed, id), so
-    the result is identical whether shapes are built serially or on a thread
-    pool.
+    Every instance draws from rng streams derived only from (seed, id).
+    Shapes are built serially: ray casting makes many small numpy calls that
+    hold the interpreter lock, so worker threads only slowed synthesis down.
+    `threads` remains for callers that pass 1 and accepts nothing else.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     if not cfg.families:
         raise ValueError("family list must be non-empty")
     for fam in cfg.families:
@@ -548,31 +550,20 @@ def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
     lo, hi = cfg.r_range()
     root = Rng(cfg.seed)
     clean = np.empty((cfg.total, cfg.n, 3))
-    records: list = [None] * cfg.total
-
-    def build(i: int):
+    records: list = []
+    for i in range(cfg.total):
         fam = cfg.families[i % len(cfg.families)]
         shape_rng, corr_rng, r_rng = _instance_rngs(root, i)
         params = sample_params(fam, shape_rng)
         _, cloud = generate_shape(fam, params, cfg.n, shape_rng, cfg.scan_resolution)
-        r_i = lo if lo == hi else lo + (hi - lo) * r_rng.uniform()
-        return cloud.points, {
+        clean[i] = cloud.points
+        records.append({
             "id": i,
             "family": fam,
             "params": params,
-            "r": r_i,
+            "r": lo if lo == hi else lo + (hi - lo) * r_rng.uniform(),
             "corruption_seed": corr_rng.seed,
-        }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = pool.map(build, range(cfg.total))
-            for i, (points, rec) in enumerate(built):
-                clean[i] = points
-                records[i] = rec
-    else:
-        for i in range(cfg.total):
-            clean[i], records[i] = build(i)
+        })
     split_rng = root.spawn(2**62)
     order = split_rng.permutation(cfg.total)
     n_train = int(np.floor(cfg.total * cfg.train_fraction))

@@ -2,7 +2,7 @@
 
 BLAS thread pools are pinned to one thread before numpy loads so that the
 timed acceptance criteria measure single-core behavior.  Dataset synthesis
-runs serially unless a test sets SCANMEND_THREADS itself.
+always runs serially.
 """
 
 import os

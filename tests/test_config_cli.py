@@ -1,5 +1,10 @@
+import argparse
+import builtins
+import hashlib
 import json
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -79,8 +84,6 @@ def test_overlay_and_preset_precedence():
         ({"eval": {"jsd_grid": 1}}, "jsd_grid"),
         ({"dataset": {"seed": 1.5}}, "seed"),
         ({"paths": {"reports": ""}}, "paths.reports"),
-        ({"gan": {"lr_regression": 0}}, "gan.lr_regression"),
-        ({"gan": {"lr_regression": "fast"}}, "gan.lr_regression"),
         ({"dataset": {"families": [{}]}}, "unknown shape family"),
         ({"dataset": {"families": [["chair5"]]}}, "unknown shape family"),
         ({"preset": ["x"]}, "preset must be a string"),
@@ -97,7 +100,6 @@ def test_overlay_and_preset_precedence():
         ({"dataset": {"sigma": float("inf")}}, "dataset.sigma"),
         ({"eval": {"eps": float("inf")}}, "eval.eps"),
         ({"gan": {"lr": float("inf")}}, "gan.lr"),
-        ({"gan": {"lr_regression": float("inf")}}, "gan.lr_regression"),
         ({"gan": {"tau": float("nan")}}, "gan.tau"),
         # ints too large for a float
         ({"ae": {"lr": 10**400}}, "ae.lr"),
@@ -172,13 +174,6 @@ def test_any_overlay_resolves_or_raises_config_error(overlay):
     except ConfigError:
         return
     json.dumps(cfg, allow_nan=False)  # what the run directory records is standard JSON
-
-
-def test_lr_regression_optional():
-    # absent (the desk presets) or null means "use gan.lr"
-    assert "lr_regression" not in resolve_config()["gan"]
-    assert resolve_config({"gan": {"lr_regression": None}})["gan"]["lr_regression"] is None
-    assert resolve_config(preset="paper-scale")["gan"]["lr_regression"] == 0.0001
 
 
 def test_override_seed_touches_every_section():
@@ -405,25 +400,23 @@ def test_config_error_paths(micro_run, tmp_path, capsys):
     assert "config schema violation" in capsys.readouterr().err
 
 
-def test_thread_env_validation(micro_run, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SCANMEND_THREADS", "zero")
-    assert main(["synth", "--run", str(tmp_path / "r"), "--config",
-                 str(micro_run["cfg"])]) == 1
-    assert "SCANMEND_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SCANMEND_THREADS", "2")
-    assert main(["synth", "--run", str(tmp_path / "r2"), "--config",
-                 str(micro_run["cfg"])]) == 0
-
-
-def test_threaded_synth_matches_serial(micro_run, tmp_path, monkeypatch):
-    serial = np.stack([read_ply(micro_run["run"] / "dataset" / "clean_test" / n).points
-                       for n in sorted(os.listdir(micro_run["run"] / "dataset" / "clean_test"))])
-    monkeypatch.setenv("SCANMEND_THREADS", "3")
-    run2 = tmp_path / "threaded"
-    assert main(["synth", "--run", str(run2), "--config", str(micro_run["cfg"])]) == 0
-    threaded = np.stack([read_ply(run2 / "dataset" / "clean_test" / n).points
-                         for n in sorted(os.listdir(run2 / "dataset" / "clean_test"))])
-    assert np.array_equal(serial, threaded)
+def test_readme_command_block_matches_parser_flags():
+    """Each subcommand's --flags in README's command block are exactly its
+    parser options; --config, --preset and --seed are described in prose."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line use", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.splitlines():
+        code = line.split("#")[0]  # drop the trailing comment
+        if code.startswith("scanmend "):
+            documented.setdefault(code.split()[1], set()).update(re.findall(r"--[a-z-]+", code))
+    prose = {"--help", "--config", "--preset", "--seed"}
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - prose
+        for name, p in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_argparse_rejects_unknown_command():
@@ -438,25 +431,6 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "scanmend" in capsys.readouterr().out
-
-
-def test_lr_regression_reaches_gan_config(micro_run, tmp_path, monkeypatch):
-    clone = tmp_path / "clone"
-    shutil.copytree(micro_run["run"], clone)
-    cfg_path = tmp_path / "lr.json"
-    cfg_path.write_text(json.dumps({**MICRO, "gan": {**MICRO["gan"], "lr_regression": 0.0125}}))
-    seen = []
-    real_train_gan = cli.train_gan
-
-    def spy(*args, **kwargs):
-        seen.append(args[3].lr_regression)
-        return real_train_gan(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "train_gan", spy)
-    args = ["--run", str(clone), "--config", str(cfg_path)]
-    assert main(["train-gan", *args, "--mode", "no_gan"]) == 0
-    assert main(["ablate", *args]) == 0
-    assert seen == [0.0125] * (1 + len(TrainingMode))
 
 
 def test_train_gan_diverging_in_first_epoch_is_one_line(micro_run, tmp_path, capsys):
@@ -478,6 +452,43 @@ def test_train_gan_diverging_in_first_epoch_is_one_line(micro_run, tmp_path, cap
     initial = build_generator(GanSpec(k=MICRO["ae"]["k"]), Rng(seed).spawn(0))
     saved = load_gan(ckpt).nets["generator"]
     assert np.array_equal(saved.param_vector(), initial.param_vector())
+
+
+def test_train_gan_without_partial_shapes_is_one_line(tmp_path, capsys):
+    # total 3 at train fraction 0.34 leaves one clean and no partial training shape
+    cfg_path = tmp_path / "one_clean.json"
+    cfg_path.write_text(json.dumps(
+        {**MICRO, "dataset": {**MICRO["dataset"], "total": 3, "train_fraction": 0.34}}
+    ))
+    run = tmp_path / "run"
+    args = ["--run", str(run), "--config", str(cfg_path)]
+    assert main(["synth", *args]) == 0
+    assert main(["train-ae", *args]) == 0
+    capsys.readouterr()
+    assert main(["train-gan", *args]) == 1
+    assert capsys.readouterr() == ("", "error: dataset has no partial_train shapes to train on\n")
+    assert not (run / "checkpoints" / "gan_default.json").exists()
+    assert not (run / "reports" / "gan_default_loss.csv").exists()
+
+
+def test_train_gan_reads_and_hashes_clean_ae_once(micro_run, tmp_path, monkeypatch):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    ae_file = clone / "checkpoints" / "clean_ae.json"
+    reads = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == str(ae_file):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    assert main(["train-gan", "--run", str(clone), "--config", str(micro_run["cfg"])]) == 0
+    monkeypatch.undo()
+    assert len(reads) == 1
+    recorded = load_gan(clone / "checkpoints" / "gan_default.json").extra["clean_ae_hash"]
+    assert recorded == hashlib.sha256(ae_file.read_bytes()).hexdigest()
 
 
 def test_train_ae_diverging_is_one_line(micro_run, tmp_path, capsys):
@@ -556,7 +567,6 @@ _REACH = {
     ("ae", "seed"): (4, _arg("train_ae", 2, "seed")),
     ("gan", "mode"): ("partial_ae", _arg("train_gan", 2, "value")),
     ("gan", "lr"): (0.003, _arg("train_gan", 3, "lr")),
-    ("gan", "lr_regression"): (0.004, _arg("train_gan", 3, "lr_regression")),
     ("gan", "beta1"): (0.6, _arg("train_gan", 3, "beta1")),
     ("gan", "batch_size"): (3, _arg("train_gan", 3, "batch_size")),
     ("gan", "epochs"): (2, _arg("train_gan", 3, "epochs")),

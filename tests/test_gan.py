@@ -271,6 +271,16 @@ def test_partial_ae_mode_requires_partial_autoencoder():
     assert res2.pipeline.source_encoder() is ae.encoder
 
 
+def test_train_gan_rejects_an_empty_pool():
+    # Every mode draws clean batches, so neither pool may be empty.
+    ae, clean, partial = tiny_setup()
+    for mode in TrainingMode:
+        with pytest.raises(ValueError, match="no clouds to train on: 0 clean, 8 partial"):
+            train_gan(clean[:0], partial, mode, small_cfg(), clean_ae=ae)
+        with pytest.raises(ValueError, match="no clouds to train on: 8 clean, 0 partial"):
+            train_gan(clean, partial[:0], mode, small_cfg(), clean_ae=ae, partial_gt=clean[:0])
+
+
 def test_train_gan_divergence_restores_last_finite_params():
     ae, clean, partial = tiny_setup()
     # a decoder with absurd weights overflows the first completion batch

@@ -225,12 +225,13 @@ def test_make_dataset_90_10_split():
 
 def test_make_dataset_deterministic_and_thread_invariant():
     a = make_dataset(_tiny_cfg())
-    b = make_dataset(_tiny_cfg())
-    c = make_dataset(_tiny_cfg(), threads=4)
+    b = make_dataset(_tiny_cfg(), threads=1)
     for split in ("clean_train", "partial_train", "clean_test", "partial_test"):
         assert np.array_equal(getattr(a, split), getattr(b, split))
-        assert np.array_equal(getattr(a, split), getattr(c, split))
-    assert a.manifest == c.manifest
+    assert a.manifest == b.manifest
+    for threads in (2, 0):  # synthesis has no thread pool
+        with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
+            make_dataset(_tiny_cfg(), threads=threads)
 
 
 def test_make_dataset_test_pairs_correspond():
