@@ -24,6 +24,8 @@ import os
 import sys
 import traceback
 
+import numpy as np
+
 from . import __version__
 from .autoencoder import (
     AeTrainConfig,
@@ -333,8 +335,10 @@ def cmd_complete(cfg: dict, run_dir: str, input_dir: str, output_dir: str, mode:
     os.makedirs(output_dir, exist_ok=True)
     for name, cloud in zip(names, clouds):
         try:
-            completed = pipeline.complete(cloud)
-        except ValueError as e:
+            # Overflow shows as the pipeline's non-finite check, not as numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                completed = pipeline.complete(cloud)
+        except (ValueError, FloatingPointError) as e:
             raise CliError(f"cannot complete {name}: {e}") from e
         write_ply(os.path.join(output_dir, name), completed)
     print(f"completed {len(names)} clouds [{mode}] -> {output_dir}")

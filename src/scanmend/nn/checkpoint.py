@@ -3,10 +3,13 @@
 A checkpoint bundle holds one or more named networks: layer specs, parameter
 arrays (base64 of little-endian float64), batchnorm running statistics, the
 RNG seed, and free-form metadata.  Loading verifies the stored architecture
-hash against the specs; anything that does not match is rejected rather than
-silently reinterpreted.  Bundles reference other checkpoint files by the
-sha256 of their bytes.  Format v1 also has an "optimizers" section; the
-writer always leaves it empty and the loader ignores it.
+hash against the specs and decodes every parameter and running statistic to
+the shape its layer needs; anything that is missing, unreadable or does not
+match is rejected with a CheckpointError naming the file, the network and
+the entry, rather than silently reinterpreted.  Bundles reference other
+checkpoint files by the sha256 of their bytes.  Format v1 also has an
+"optimizers" section; the writer always leaves it empty and the loader
+ignores it.
 """
 
 from __future__ import annotations
@@ -39,9 +42,23 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
+def _decode_array(section: dict, keys: tuple, shape: tuple, where: str) -> np.ndarray:
+    """The array stored at section[keys[0]][keys[1]]..., which must have
+    `shape`; CheckpointError naming `where` and the entry otherwise."""
+    entry = ".".join(keys)
+    d = section
+    for key in keys:
+        if not isinstance(d, dict) or key not in d:
+            raise CheckpointError(f"{where}: missing entry {entry}")
+        d = d[key]
+    try:
+        raw = base64.b64decode(d["data"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{where}: unreadable entry {entry} ({e})") from e
+    if arr.shape != shape:
+        raise CheckpointError(f"{where}: entry {entry} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _network_section(net: Network) -> dict:
@@ -119,18 +136,14 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
             raise ArchitectureMismatchError(
                 f"{path}: architecture hash mismatch for network {name!r}"
             )
+        where = f"{path}: network {name!r}"
         for pname, t in net.named_parameters():
-            if pname not in section["params"]:
-                raise CheckpointError(f"{path}: missing parameter {name}.{pname}")
-            arr = _decode_array(section["params"][pname])
-            if arr.shape != t.data.shape:
-                raise CheckpointError(f"{path}: shape mismatch for {name}.{pname}")
-            t.data = arr
+            t.data = _decode_array(section, ("params", pname), t.data.shape, where)
         for i, layer in enumerate(net.layers):
             if isinstance(layer, BatchNorm):
-                bn = section["batchnorm"][str(i)]
-                layer.running_mean = _decode_array(bn["mean"])
-                layer.running_var = _decode_array(bn["var"])
+                stats, shape = ("batchnorm", str(i)), (layer.width,)
+                layer.running_mean = _decode_array(section, stats + ("mean",), shape, where)
+                layer.running_var = _decode_array(section, stats + ("var",), shape, where)
         nets[name] = net
     return Bundle(
         kind=doc["kind"],

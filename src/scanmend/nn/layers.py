@@ -1,8 +1,10 @@
 """Network layers: dense, shared per-point MLP, batchnorm, ReLU, max pool.
 
-A Network is an ordered list of layer records; each PointwiseDense ->
-BatchNorm -> ReLU triple in it runs as one fused PointBlock node (see there
-for the buffers that node owns and overwrites).  Weights are float64
+A Network is an ordered list of layer records; each run of consecutive
+PointwiseDense -> BatchNorm -> ReLU triples in it, such as the encoder's
+five, runs as one fused PointBlock node.  A train call of that node saves
+only each triple's x-hat and recomputes the triples' outputs in backward
+(see there for the buffers it owns and overwrites).  Weights are float64
 Tensors; batchnorm running statistics are plain arrays.  A network holds no
 run mode: each call chooses train or infer arithmetic for itself.
 `forward(x, train=...)` takes the choice as a required keyword and builds
@@ -250,91 +252,134 @@ class MaxPool:
 
 
 class PointBlock:
-    """PointwiseDense -> BatchNorm -> ReLU run as one graph node.
+    """A run of consecutive PointwiseDense -> BatchNorm -> ReLU triples as
+    one graph node.
 
-    Network builds one for each such triple in its layer list; the three
-    layers keep their records, parameters and running statistics, and the
-    node's parents are (x, W, b, gamma, beta).  Every per-element formula and
-    reduction is the three layers' own, so the outputs and gradients are
-    bit-identical to running them one by one.
+    Network builds one for each such run in its layer list, so the
+    encoder's five triples are one node; the layers keep their records,
+    parameters and running statistics.  The node's parents are x and then
+    each triple's (W, b, gamma, beta): a run of one has parents
+    (x, W, b, gamma, beta).  Every per-element formula and reduction is the
+    layers' own, so the outputs, running statistics and gradients are
+    bit-identical to running the layers one by one.
 
-    A train call owns two (rows, width) arrays: the GEMM output, which it
-    normalizes in place to x-hat, and the output max(x-hat * gamma + beta, 0).
-    Backward takes the ReLU mask from the output and applies it, and then
-    the BatchNorm backward, in place in the output gradient it receives,
-    which it owns (see nn.tensor); the BatchNorm backward also overwrites
-    x-hat.  A read-only gradient (sum's broadcast) is masked into a new
-    array instead.  An infer call runs the BatchNorm affine map and the ReLU
-    in place in the GEMM output, the only array it owns, so its backward
-    recomputes the GEMM; predict runs the same infer arithmetic and returns
-    that array with no node.
+    A train call keeps only the run's flattened input and each triple's
+    x-hat, which it normalizes in place in the GEMM output, and `inv`.  A
+    triple's output, max(x-hat * gamma + beta, 0), is dropped as soon as the
+    next triple's GEMM has read it; the last one is the node's output.
+    Backward walks the triples in reverse in the output gradient it
+    receives, which it owns (see nn.tensor); a read-only gradient (sum's
+    broadcast) is masked into a new array instead.  Per triple it applies
+    the ReLU mask and the BatchNorm backward, which overwrites that triple's
+    x-hat, then recomputes the triple's input from the previous triple's
+    x-hat with the forward's own ops.  That array gives the weight gradient and the
+    previous triple's ReLU mask, and is freed before the input gradient is
+    allocated.  An infer call keeps every triple's output and runs the
+    BatchNorm affine map and the ReLU in place in its GEMM output, so its
+    backward recomputes the GEMM; predict runs the same infer arithmetic
+    with no node and keeps nothing.
     """
 
-    def __init__(self, dense: PointwiseDense, bn: BatchNorm):
-        self.dense, self.bn = dense, bn
+    def __init__(self, triples: list):
+        self.triples = triples  # (PointwiseDense, BatchNorm) pairs
 
-    def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
-        """(flat input, output, (x-hat, inv) for a train or (mean, inv) for an
-        infer call) of the block on array x.  `check(array, i)` raises when
-        the output of layer i is not finite; `index` is the dense layer's
-        index."""
-        dense, bn = self.dense, self.bn
-        dense.check_input(x)
-        flat, h = affine(x, dense.w.data, dense.b.data)
-        check(h, index)
-        if train:
-            state = bn.normalize_train(h, out=h)
-            y = bn.scale_shift(state[0])
-        else:
-            state = bn.infer_stats()
-            y = bn.normalize_infer(h, *state, out=h)
-        check(y, index + 1)
-        # ReLU maps finite values to finite values, so its output needs no check.
-        y = np.maximum(y, 0.0, out=y).reshape(x.shape[:-1] + (dense.n_out,))
-        return flat, y, state
+    def _run(self, x: np.ndarray, train: bool, check, index: int, keep: int) -> tuple:
+        """(output, flat inputs of the first `keep` triples, (x-hat, inv) per
+        triple for a train or (mean, inv) for an infer call) of the run on
+        array x.  `check(array, i)` raises when the output of layer i is not
+        finite; `index` is the index of the run's first layer."""
+        inputs, states = [], []
+        for j, (dense, bn) in enumerate(self.triples):
+            dense.check_input(x)
+            shape = x.shape[:-1] + (dense.n_out,)
+            flat, h = affine(x, dense.w.data, dense.b.data)
+            if j < keep:
+                inputs.append(flat)
+            # A later triple's input is a view of the previous output: drop it.
+            del x, flat
+            check(h, index + 3 * j)
+            if train:
+                states.append(bn.normalize_train(h, out=h))
+                y = bn.scale_shift(h)
+            else:
+                states.append(bn.infer_stats())
+                y = bn.normalize_infer(h, *states[-1], out=h)
+            check(y, index + 3 * j + 1)
+            # ReLU maps finite values to finite values, so its output needs no check.
+            x = np.maximum(y, 0.0, out=y).reshape(shape)
+        return x, inputs, states
 
     def predict(self, x: np.ndarray, check, index: int) -> np.ndarray:
-        return self._run(x, False, check, index)[1]
+        return self._run(x, False, check, index, 0)[0]
 
     def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
-        dense, bn = self.dense, self.bn
-        w, b, n_out = dense.w, dense.b, dense.n_out
-        flat, y, state = self._run(x.data, train, check, index)
-        out = Tensor(y, (x, w, b, bn.gamma, bn.beta))
+        triples = self.triples
+        y, inputs, states = self._run(x.data, train, check, index, 1 if train else len(triples))
+        params = [t for dense, bn in triples for t in (dense.w, dense.b, bn.gamma, bn.beta)]
+        out = Tensor(y, (x, *params))
 
         def backward(g):
             # y > 0 exactly where the BatchNorm output was positive.  g is
             # this node's own, unless it is sum's read-only broadcast.
             mask = y > 0.0
             g = np.multiply(g, mask, out=g) if g.flags.writeable else g * mask
-            dy = g.reshape(-1, n_out)
-            if train:
-                dh = bn.backward_train(dy, *state, out=dy)
-            else:
-                dh = bn.backward_infer(dy, affine(flat, w.data, b.data)[1], *state)
-            affine_backward(dh, flat, x, w, b)
+            for j in range(len(triples) - 1, -1, -1):
+                dense, bn = triples[j]
+                w, b = dense.w, dense.b
+                dy = g.reshape(-1, dense.n_out)
+                del g
+                if train:
+                    # Overwrites triple j's x-hat, which pop then frees.
+                    dh = bn.backward_train(dy, *states.pop(), out=dy)
+                    if j:
+                        # Triple j's input, from the previous x-hat before its
+                        # backward overwrites it, with the forward's ops.
+                        inp = triples[j - 1][1].scale_shift(states[-1][0])
+                        np.maximum(inp, 0.0, out=inp)
+                    else:
+                        inp = inputs.pop()
+                else:
+                    inp = inputs.pop()
+                    dh = bn.backward_infer(dy, affine(inp, w.data, b.data)[1], *states.pop())
+                del dy
+                if not j:
+                    affine_backward(dh, inp, x, w, b)
+                    return
+                w.accum_grad(inp.T @ dh)
+                b.accum_grad(dh.sum(axis=0))
+                mask = inp > 0.0
+                del inp
+                g = dh @ w.data.T
+                del dh
+                np.multiply(g, mask, out=g)
 
         out._backward = backward
         return out
 
 
+def _is_triple(layers: list) -> bool:
+    return (
+        len(layers) == 3
+        and isinstance(layers[0], PointwiseDense)
+        and isinstance(layers[1], BatchNorm)
+        and isinstance(layers[2], ReLU)
+        and layers[0].n_out == layers[1].width
+    )
+
+
 def _forward_steps(layers: list) -> list:
-    """(index, step) pairs that run `layers` in order, each PointwiseDense ->
-    BatchNorm -> ReLU triple of matching width as one PointBlock step.  A
-    triple whose widths differ runs layer by layer, so that BatchNorm's own
-    check reports the mismatch."""
+    """(index, step) pairs that run `layers` in order, each run of
+    consecutive PointwiseDense -> BatchNorm -> ReLU triples of matching
+    width as one PointBlock step.  A triple whose widths differ runs layer
+    by layer, so that BatchNorm's own check reports the mismatch."""
     steps, i = [], 0
     while i < len(layers):
-        triple = layers[i : i + 3]
-        if (
-            len(triple) == 3
-            and isinstance(triple[0], PointwiseDense)
-            and isinstance(triple[1], BatchNorm)
-            and isinstance(triple[2], ReLU)
-            and triple[0].n_out == triple[1].width
-        ):
-            steps.append((i, PointBlock(triple[0], triple[1])))
-            i += 3
+        end = i
+        while _is_triple(layers[end : end + 3]):
+            end += 3
+        if end > i:
+            steps.append((i, PointBlock([(layers[k], layers[k + 1]) for k in range(i, end, 3)])))
+            i = end
         else:
             steps.append((i, layers[i]))
             i += 1
@@ -362,8 +407,8 @@ class Network:
             self._check(arr, i)
 
     def forward(self, x: Tensor, *, train: bool) -> Tensor:
-        """Run the stack as autodiff nodes, each fused triple as one PointBlock
-        node, with train or infer arithmetic as `train` says; raise
+        """Run the stack as autodiff nodes, each run of fused triples as one
+        PointBlock node, with train or infer arithmetic as `train` says; raise
         FloatingPointError naming the first layer whose output is not
         finite."""
         if not isinstance(x, Tensor):

@@ -7,7 +7,7 @@ most three axes (batch, points, features).  Custom operations (EMD, soft
 Hausdorff, max pooling) build nodes directly by supplying parents and
 assigning _backward.
 
-Three rules keep memory behavior sane across long training runs:
+Four rules keep memory behavior sane across long training runs:
 
 * Backward consumes the graph.  A backward closure receives the output
   gradient as its argument and must never capture the output tensor itself
@@ -25,15 +25,21 @@ Three rules keep memory behavior sane across long training runs:
   `g.flags.writeable`.  Forward, no operation writes into an array another
   node holds, so a closure may capture its own output array (ReLU derives
   its mask from it).  The fused point block (`layers.PointBlock`) is the
-  widest case: a train call normalizes its own GEMM output in place to
-  x-hat and writes its output into a second array; its backward works in
-  its incoming gradient, overwrites its x-hat and never writes its output.
-  An infer call works in place in its GEMM output, which is its output
-  array, so its backward recomputes the GEMM.
+  widest case: a train call normalizes each GEMM output in place to x-hat
+  and writes each triple's output into a new array; its backward works in
+  its incoming gradient, overwrites each x-hat and never writes its output.
+  An infer call works in place in each GEMM output, which is that triple's
+  output array, so its backward recomputes the GEMM.
   `Network.predict`, the inference path, keeps the same rule with no node at
   all: it builds no Tensor, normalizes by the BatchNorm running statistics,
   and writes only into arrays it allocated itself, never into its input,
   even when the first layer is a ReLU or a BatchNorm.
+* A node need not save what its backward reads.  It may recompute an
+  intermediate from what it saved, with the forward's own ops on the same
+  operands, so the recomputed array equals the dropped one bit for bit.
+  The point block's train call saves only each triple's x-hat and `inv`;
+  its backward recomputes each triple's input, the previous triple's
+  output, from the previous x-hat before that x-hat is overwritten.
 * The root and the leaves keep their gradients.  `grad` is None until
   backward reaches the tensor, and accumulation always rebinds
   (`grad = grad + g`).  backward(upstream) leaves `root.grad is upstream`,

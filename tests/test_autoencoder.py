@@ -106,16 +106,17 @@ def test_train_ae_loss_decreases_and_is_deterministic():
 
 def test_train_step_peak_allocation():
     # One desk-scale training step (batch 50, n = 128, k = 16) may peak at
-    # the arrays its forward saves, x-hat and the output of each encoder
-    # block, plus two arrays of the widest block: the gradient the backward
-    # is in and the input gradient it allocates.  Holding every gradient
-    # until the walk ends, or a full-size temporary per block, exceeds it.
+    # the x-hat of each encoder triple, the only activation the point block
+    # saves, plus two arrays of the widest triple: the gradient the backward
+    # is in and the input it recomputes or the input gradient it allocates.
+    # Saving each triple's output too, holding every gradient until the walk
+    # ends, or a full-size temporary per triple exceeds it.
     spec = AutoencoderSpec(n=128, k=16)
     ae = Autoencoder(spec, Rng(0))
     batch = Rng(1).normal((50, spec.n, 3)) * 0.3
     rows, item = batch.shape[0] * spec.n, 8
     widths = spec.encoder_widths
-    bound = 2 * rows * sum(widths) * item + 2 * rows * max(widths) * item
+    bound = rows * sum(widths) * item + 2 * rows * max(widths) * item
     tracemalloc.start()
     try:
         ae_loss(ae, batch).backward()

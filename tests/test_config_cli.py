@@ -66,46 +66,69 @@ def test_overlay_and_preset_precedence():
 @pytest.mark.parametrize(
     "patch,msg",
     [
-        ({"typo_section": {}}, "unknown top-level"),
-        ({"ae": {"momentum": 0.9}}, "unknown keys in 'ae'"),
-        ({"version": 99}, "version"),
-        ({"dataset": {"families": []}}, "non-empty"),
-        ({"dataset": {"families": ["teapot"]}}, "unknown shape family"),
-        ({"dataset": {"n": 4}}, "dataset.n"),
-        ({"dataset": {"train_fraction": 1.0}}, "train_fraction"),
-        ({"dataset": {"r": [0.5, 0.1]}}, "dataset.r"),
-        ({"dataset": {"r": 1.2}}, "dataset.r"),
-        ({"ae": {"lr": 0}}, "ae.lr"),
-        ({"ae": {"linear": 1}}, "ae.linear"),
-        ({"gan": {"mode": "wgan"}}, "gan.mode"),
-        ({"gan": {"gan_loss": "hinge"}}, "gan.gan_loss"),
-        ({"gan": {"tau": 0.0}}, "gan.tau"),
-        ({"eval": {"r_sweep": []}}, "r_sweep"),
-        ({"eval": {"jsd_grid": 1}}, "jsd_grid"),
-        ({"dataset": {"seed": 1.5}}, "seed"),
-        ({"paths": {"reports": ""}}, "paths.reports"),
-        ({"dataset": {"families": [{}]}}, "unknown shape family"),
-        ({"dataset": {"families": [["chair5"]]}}, "unknown shape family"),
-        ({"preset": ["x"]}, "preset must be a string"),
-        ({"preset": []}, "preset must be a string"),
-        ({"preset": 0}, "preset must be a string"),
-        ({"ae": {"k": True}}, "ae.k"),
-        ({"ae": {"batch_size": True}}, "ae.batch_size"),
-        ({"dataset": {"seed": True}}, "dataset.seed"),
-        ({"ae": {"seed": True}}, "ae.seed"),
-        ({"gan": {"seed": True}}, "gan.seed"),
-        ({"eval": {"seed": True}}, "eval.seed"),
-        ({"version": True}, "version"),
-        ({"ae": {"lr": float("inf")}}, "ae.lr"),
-        ({"dataset": {"sigma": float("inf")}}, "dataset.sigma"),
-        ({"eval": {"eps": float("inf")}}, "eval.eps"),
-        ({"gan": {"lr": float("inf")}}, "gan.lr"),
-        ({"gan": {"tau": float("nan")}}, "gan.tau"),
+        pytest.param({"typo_section": {}}, "unknown top-level", id="patch0-unknown top-level"),
+        pytest.param(
+            {"ae": {"momentum": 0.9}}, "unknown keys in 'ae'", id="patch1-unknown keys in 'ae'"
+        ),
+        pytest.param({"version": 99}, "version", id="patch2-version"),
+        pytest.param({"dataset": {"families": []}}, "non-empty", id="patch3-non-empty"),
+        pytest.param(
+            {"dataset": {"families": ["teapot"]}}, "unknown shape family",
+            id="patch4-unknown shape family"
+        ),
+        pytest.param({"dataset": {"n": 4}}, "dataset.n", id="patch5-dataset.n"),
+        pytest.param(
+            {"dataset": {"train_fraction": 1.0}}, "train_fraction", id="patch6-train_fraction"
+        ),
+        pytest.param({"dataset": {"r": [0.5, 0.1]}}, "dataset.r", id="patch7-dataset.r"),
+        pytest.param({"dataset": {"r": 1.2}}, "dataset.r", id="patch8-dataset.r"),
+        pytest.param({"ae": {"lr": 0}}, "ae.lr", id="patch9-ae.lr"),
+        pytest.param({"ae": {"linear": 1}}, "ae.linear", id="patch10-ae.linear"),
+        pytest.param({"gan": {"mode": "wgan"}}, "gan.mode", id="patch11-gan.mode"),
+        pytest.param({"gan": {"gan_loss": "hinge"}}, "gan.gan_loss", id="patch12-gan.gan_loss"),
+        pytest.param({"gan": {"tau": 0.0}}, "gan.tau", id="patch13-gan.tau"),
+        pytest.param({"eval": {"r_sweep": []}}, "r_sweep", id="patch14-r_sweep"),
+        pytest.param({"eval": {"jsd_grid": 1}}, "jsd_grid", id="patch15-jsd_grid"),
+        pytest.param({"dataset": {"seed": 1.5}}, "seed", id="patch16-seed"),
+        pytest.param({"paths": {"reports": ""}}, "paths.reports", id="patch17-paths.reports"),
+        pytest.param(
+            {"dataset": {"families": [{}]}}, "unknown shape family",
+            id="patch18-unknown shape family"
+        ),
+        pytest.param(
+            {"dataset": {"families": [["chair5"]]}}, "unknown shape family",
+            id="patch19-unknown shape family"
+        ),
+        pytest.param(
+            {"preset": ["x"]}, "preset must be a string", id="patch20-preset must be a string"
+        ),
+        pytest.param(
+            {"preset": []}, "preset must be a string", id="patch21-preset must be a string"
+        ),
+        pytest.param(
+            {"preset": 0}, "preset must be a string", id="patch22-preset must be a string"
+        ),
+        pytest.param({"ae": {"k": True}}, "ae.k", id="patch23-ae.k"),
+        pytest.param({"ae": {"batch_size": True}}, "ae.batch_size", id="patch24-ae.batch_size"),
+        pytest.param({"dataset": {"seed": True}}, "dataset.seed", id="patch25-dataset.seed"),
+        pytest.param({"ae": {"seed": True}}, "ae.seed", id="patch26-ae.seed"),
+        pytest.param({"gan": {"seed": True}}, "gan.seed", id="patch27-gan.seed"),
+        pytest.param({"eval": {"seed": True}}, "eval.seed", id="patch28-eval.seed"),
+        pytest.param({"version": True}, "version", id="patch29-version"),
+        pytest.param({"ae": {"lr": float("inf")}}, "ae.lr", id="patch30-ae.lr"),
+        pytest.param(
+            {"dataset": {"sigma": float("inf")}}, "dataset.sigma", id="patch31-dataset.sigma"
+        ),
+        pytest.param({"eval": {"eps": float("inf")}}, "eval.eps", id="patch32-eval.eps"),
+        pytest.param({"gan": {"lr": float("inf")}}, "gan.lr", id="patch33-gan.lr"),
+        pytest.param({"gan": {"tau": float("nan")}}, "gan.tau", id="patch34-gan.tau"),
         # ints too large for a float
-        ({"ae": {"lr": 10**400}}, "ae.lr"),
-        ({"dataset": {"sigma": 10**400}}, "dataset.sigma"),
-        ({"dataset": {"r": [0, 10**400]}}, "dataset.r"),
-        ({"eval": {"r_sweep": [0.1, -(10**400)]}}, "eval.r_sweep"),
+        pytest.param({"ae": {"lr": 10**400}}, "ae.lr", id="patch35-ae.lr"),
+        pytest.param({"dataset": {"sigma": 10**400}}, "dataset.sigma", id="patch36-dataset.sigma"),
+        pytest.param({"dataset": {"r": [0, 10**400]}}, "dataset.r", id="patch37-dataset.r"),
+        pytest.param(
+            {"eval": {"r_sweep": [0.1, -(10**400)]}}, "eval.r_sweep", id="patch38-eval.r_sweep"
+        ),
     ],
 )
 def test_validation_rejects_bad_values(patch, msg):
@@ -366,6 +389,52 @@ def test_complete_rejects_wrong_point_count(micro_run, tmp_path, capsys):
                  "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot complete 0000.ply: expected 16 points, got 5\n"
+
+
+def test_complete_overflow_is_one_line(micro_run, tmp_path, capsys):
+    # Finite coordinates this large overflow the encoder's first GEMM.  The
+    # error names the file, and no numpy warning is printed: pytest turns
+    # scanmend's RuntimeWarnings into errors.
+    in_dir = tmp_path / "huge"
+    in_dir.mkdir()
+    write_ply(in_dir / "0000.ply", PointSet(Rng(0).normal((16, 3)) * 5e307))
+    capsys.readouterr()
+    assert main(["complete", *micro_run["args"], "--input", str(in_dir),
+                 "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot complete 0000.ply:"
+        " non-finite activation after layer 0 (pointwise) of encoder\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry,value,msg",
+    [
+        pytest.param("mean", {"shape": [1], "data": "AAAAAAAA4D8="},
+                     "entry batchnorm.1.mean has shape (1,), expected (64,)", id="shape"),
+        pytest.param("mean", None, "missing entry batchnorm.1.mean", id="missing"),
+        pytest.param("var", {"shape": [64], "data": "AAAAAAAA4D8="},
+                     "unreadable entry batchnorm.1.var", id="mis-sized"),
+    ],
+)
+def test_complete_rejects_bad_checkpoint_entry(micro_run, tmp_path, capsys, entry, value, msg):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    ckpt = clone / "checkpoints" / "clean_ae.json"
+    doc = json.loads(ckpt.read_text())
+    stats = doc["networks"]["encoder"]["batchnorm"]["1"]
+    if value is None:
+        del stats[entry]
+    else:
+        stats[entry] = value
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", "--run", str(clone), "--config", str(micro_run["cfg"]),
+                 "--input", str(clone / "dataset" / "partial_test"),
+                 "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: network 'encoder': {msg}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_eval_name_mismatch_is_reported(micro_run, tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""The fused PointwiseDense -> BatchNorm -> ReLU node against its three layers.
+"""The fused point block against the layers it runs.
 
-The reference below is the three-node form the encoder ran before the triple
-became one node: the flattened GEMM with the bias added in place, the
-BatchNorm arithmetic, and ReLU with its mask taken from the output.  The
-fused node must equal it bit for bit, forward and backward, in both modes.
+The reference below is the three-node form the encoder ran before each
+PointwiseDense -> BatchNorm -> ReLU triple became one node: the flattened
+GEMM with the bias added in place, the BatchNorm arithmetic, and ReLU with
+its mask taken from the output.  A point block runs a whole run of triples;
+it must equal the reference chained triple by triple, bit for bit, forward
+and backward, in both modes.
 """
 
 import hashlib
@@ -18,7 +20,9 @@ from scanmend.nn.layers import (
     BN_EPS,
     BN_MOMENTUM,
     BatchNorm,
+    MaxPool,
     Network,
+    PointBlock,
     PointwiseDense,
     ReLU,
 )
@@ -85,6 +89,74 @@ def _same(a, b) -> bool:
     )
 
 
+def _check_run(batch, points, n_in, widths, train, layout, reshaped, seed):
+    """A Network of one PointwiseDense -> BatchNorm -> ReLU triple per width
+    against the reference chained triple by triple: output, running
+    statistics and every gradient, bit for bit."""
+    rng = Rng(seed)
+    layers, triples, prev = [], [], n_in
+    for width in widths:
+        dense, bn = PointwiseDense(prev, width, rng), BatchNorm(width)
+        dense.b.data = rng.normal(width)
+        bn.gamma.data = rng.normal(width) * 2.0
+        bn.beta.data = rng.normal(width)
+        bn.running_mean = rng.normal(width)
+        bn.running_var = rng.uniform(width) + 0.1
+        layers += [dense, bn, ReLU()]
+        triples.append((dense, bn))
+        prev = width
+    net = Network(layers)
+    data = rng.normal((batch, 2 * points, n_in)) * 3.0 + 0.5
+    if layout == "strided":
+        data = data[:, ::2]
+    else:
+        data = data[:, :points]
+        if layout == "fortran":
+            data = np.asfortranarray(data)
+    g = rng.normal((batch, points, widths[-1]))
+    g[rng.uniform((batch, points, widths[-1])) < 0.2] = 0.0
+
+    # Reference forward, triple by triple from the stored statistics; then
+    # backward in reverse, each triple's input gradient the previous one's
+    # output gradient.  _reference recomputes its forward for the backward.
+    args = [
+        (dense.w.data, dense.b.data, bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
+        for dense, bn in triples
+    ]
+    inputs, stats = [data], []
+    for a in args:
+        y, mean, var = _reference(inputs[-1], *a, train, np.zeros(a[0].shape[1]))[:3]
+        inputs.append(y)
+        stats.append((mean, var))
+    grads, up = [], g
+    for x_j, a in reversed(list(zip(inputs, args))):
+        dx, dw, db, dgamma, dbeta = _reference(x_j, *a, train, up)[3:]
+        grads.append((dw, db, dgamma, dbeta))
+        up = dx
+    grads.reverse()
+
+    x = Tensor(data)
+    out = net.forward(x, train=train)
+    assert out._parents == (x, *[t for d, b in triples for t in (d.w, d.b, b.gamma, b.beta)])
+    if reshaped:
+        # The consumer passes its own gradient array through a reshape; the
+        # block's backward must leave that array as it was.
+        consumer = out.reshape(batch, points * widths[-1])
+        up = g.reshape(batch, points * widths[-1]).copy()
+        consumer.backward(up)
+        assert consumer.grad is up and _same(up, g.reshape(batch, points * widths[-1]))
+    else:
+        out.backward(g.copy())
+    assert _same(out.data, inputs[-1]), "output"
+    assert _same(x.grad, dx), "x grad"
+    for j, ((dense, bn), (mean, var), want) in enumerate(zip(triples, stats, grads)):
+        got = (bn.running_mean, bn.running_var, dense.w.grad, dense.b.grad, bn.gamma.grad,
+               bn.beta.grad)
+        names = ("running mean", "running var", "w grad", "b grad", "gamma grad", "beta grad")
+        for name, a, b in zip(names, got, (mean, var, *want)):
+            assert _same(a, b), f"triple {j} {name}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     batch=st.integers(1, 4),
@@ -102,46 +174,32 @@ def _same(a, b) -> bool:
 def test_point_block_bit_identical_to_three_layers(
     batch, points, n_in, width, train, layout, reshaped, seed
 ):
-    rng = Rng(seed)
-    dense, bn = PointwiseDense(n_in, width, rng), BatchNorm(width)
-    dense.b.data = rng.normal(width)
-    bn.gamma.data = rng.normal(width) * 2.0
-    bn.beta.data = rng.normal(width)
-    bn.running_mean = rng.normal(width)
-    bn.running_var = rng.uniform(width) + 0.1
-    net = Network([dense, bn, ReLU()])
-    data = rng.normal((batch, 2 * points, n_in)) * 3.0 + 0.5
-    if layout == "strided":
-        data = data[:, ::2]
-    else:
-        data = data[:, :points]
-        if layout == "fortran":
-            data = np.asfortranarray(data)
-    g = rng.normal((batch, points, width))
-    g[rng.uniform((batch, points, width)) < 0.2] = 0.0
-    want = _reference(
-        data, dense.w.data, dense.b.data, bn.gamma.data, bn.beta.data,
-        bn.running_mean, bn.running_var, train, g,
-    )
+    _check_run(batch, points, n_in, [width], train, layout, reshaped, seed)
 
-    x = Tensor(data)
-    out = net.forward(x, train=train)
-    assert out._parents == (x, dense.w, dense.b, bn.gamma, bn.beta)
-    if reshaped:
-        # The consumer passes its own gradient array through a reshape; the
-        # block's backward must leave that array as it was.
-        consumer = out.reshape(batch, points * width)
-        up = g.reshape(batch, points * width).copy()
-        consumer.backward(up)
-        assert consumer.grad is up and _same(up, g.reshape(batch, points * width))
-    else:
-        out.backward(g.copy())
-    got = (out.data, bn.running_mean, bn.running_var, x.grad, dense.w.grad, dense.b.grad,
-           bn.gamma.grad, bn.beta.grad)
-    names = ("output", "running mean", "running var", "x grad", "w grad", "b grad",
-             "gamma grad", "beta grad")
-    for name, a, b in zip(names, got, want):
-        assert _same(a, b), name
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    points=st.integers(1, 6),
+    n_in=st.sampled_from([1, 3, 5]),
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    train=st.booleans(),
+    layout=st.sampled_from(["contiguous", "strided", "fortran"]),
+    reshaped=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    batch=1, points=1, n_in=3, widths=[9, 4, 7], train=True, layout="strided", reshaped=False,
+    seed=1,
+)
+@example(
+    batch=2, points=3, n_in=1, widths=[2, 9, 1], train=False, layout="fortran", reshaped=True,
+    seed=2,
+)
+def test_point_block_run_bit_identical_to_chained_layers(
+    batch, points, n_in, widths, train, layout, reshaped, seed
+):
+    _check_run(batch, points, n_in, widths, train, layout, reshaped, seed)
 
 
 def test_network_fuses_only_matching_triples():
@@ -151,13 +209,22 @@ def test_network_fuses_only_matching_triples():
         PointwiseDense(4, 5, rng), BatchNorm(5),
         PointwiseDense(5, 2, rng), BatchNorm(2), ReLU(),
         PointwiseDense(2, 2, rng), BatchNorm(3), ReLU(),
+        PointwiseDense(3, 6, rng), BatchNorm(6), ReLU(),
+        PointwiseDense(6, 2, rng), BatchNorm(2), ReLU(),
+        MaxPool(),
     ]
-    assert [(i, type(s).__name__) for i, s in Network(layers)._steps] == [
+    steps = Network(layers)._steps
+    assert [(i, type(s).__name__) for i, s in steps] == [
         (0, "PointBlock"),
         (3, "PointwiseDense"), (4, "BatchNorm"),
         (5, "PointBlock"),
         (8, "PointwiseDense"), (9, "BatchNorm"), (10, "ReLU"),
+        (11, "PointBlock"),
+        (17, "MaxPool"),
     ]
+    # Adjacent triples run as one node.
+    assert [len(s.triples) for _, s in steps if isinstance(s, PointBlock)] == [1, 1, 2]
+    assert steps[-2][1].triples == [(layers[11], layers[12]), (layers[14], layers[15])]
 
 
 def _pipeline_digest(tmp_path) -> str:

@@ -6,7 +6,9 @@ verified against hand-computed recurrences rather than against the
 implementation itself.
 """
 
+import base64
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -648,3 +650,52 @@ def test_checkpoint_kind_and_corruption_errors(tmp_path):
     tampered.write_text(_json.dumps(doc))
     with pytest.raises(ArchitectureMismatchError):
         load_bundle(tampered)
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize(
+    "tamper,msg",
+    [
+        # A running mean of one value would broadcast over all four features.
+        pytest.param(
+            lambda s: s["batchnorm"]["1"].update(mean={"shape": [1], "data": _b64([0.5])}),
+            r"entry batchnorm\.1\.mean has shape \(1,\), expected \(4,\)",
+            id="running-mean-shape",
+        ),
+        pytest.param(
+            lambda s: s["batchnorm"].pop("1"), r"missing entry batchnorm\.1\.mean",
+            id="missing-batchnorm-entry",
+        ),
+        pytest.param(
+            lambda s: s["batchnorm"]["1"].pop("var"), r"missing entry batchnorm\.1\.var",
+            id="missing-running-var",
+        ),
+        pytest.param(
+            lambda s: s["params"].pop("0.pointwise.b"), r"missing entry params\.0\.pointwise\.b",
+            id="missing-parameter",
+        ),
+        pytest.param(
+            lambda s: s["params"]["0.pointwise.w"].update(data=_b64(np.zeros(5))),
+            r"unreadable entry params\.0\.pointwise\.w \(",
+            id="mis-sized-array",
+        ),
+        pytest.param(
+            lambda s: s["batchnorm"]["1"]["var"].update(data="not base64!"),
+            r"unreadable entry batchnorm\.1\.var \(",
+            id="bad-base64",
+        ),
+    ],
+)
+def test_checkpoint_rejects_bad_entries(tmp_path, tamper, msg):
+    path = tmp_path / "ck.json"
+    save_bundle(path, {"enc": _toy_net()}, kind="test", seed=0)
+    doc = json.loads(path.read_text())
+    tamper(doc["networks"]["enc"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=msg) as exc:
+        load_bundle(bad)
+    assert str(exc.value).startswith(f"{bad}: network 'enc': ")
