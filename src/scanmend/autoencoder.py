@@ -153,9 +153,10 @@ def _as_batch(clouds, n: int) -> np.ndarray:
 
 def ae_loss(ae: Autoencoder, batch) -> Tensor:
     """Mean EMD between the batch and its train-call reconstructions
-    (differentiable)."""
+    (differentiable in the parameters; the data is a constant, so the first
+    layer computes no input gradient)."""
     data = _as_batch(batch, ae.spec.n)
-    recon = ae.forward_batch(Tensor(data), train=True)
+    recon = ae.forward_batch(Tensor(data, constant=True), train=True)
     return emd_loss(recon, data)
 
 

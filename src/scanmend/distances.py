@@ -106,16 +106,22 @@ def _cdist_batch(s: np.ndarray, r: np.ndarray, metric: str) -> np.ndarray:
 
 def soft_hausdorff_batch(
     s: np.ndarray, r: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft directed Hausdorff s[b] -> r[b] and its gradient in r[b].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft directed Hausdorff s[b] -> r[b], its gradient in r[b], and the
+    hard directed Hausdorff s[b] -> r[b] from the same distances.
 
     The log-sum-exp relaxation of hausdorff_directed at temperature tau:
     soft-min over r inside, soft-max over s outside.  Each value lies within
     tau * log(|s| * |r|) of the hard directed distance.
 
     s is (batch, |s|, d) and r is (batch, |r|, d).  Returns the (batch,)
-    values and the (batch, |r|, d) gradients.  With the two softmax weight
-    sets combined into w_pq = d value / d dist_pq, the gradient is
+    values, the (batch, |r|, d) gradients and the (batch,) hard distances.
+    The hard distance is the largest nearest distance, equal bit for bit to
+    hausdorff_directed_batch(s, r): cdist's Euclidean distance is the root
+    of its squared one, and the root commutes with min and max.
+
+    With the two softmax weight sets combined into w_pq = d value / d dist_pq,
+    the gradient is
 
         grad_q = sum_p w_pq (r_q - s_p) / dist_pq
                = r_q * sum_p wt_pq - sum_p wt_pq s_p,   wt = w / dist,
@@ -148,4 +154,4 @@ def soft_hausdorff_batch(
     w /= dist
     grads = r * w.sum(axis=1)[:, :, None]
     grads -= np.matmul(w.transpose(0, 2, 1), s)
-    return values, grads
+    return values, grads, lo[:, :, 0].max(axis=1)

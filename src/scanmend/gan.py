@@ -9,9 +9,9 @@ anchor that keeps the decoded completion consistent with the partial input:
     L_G = alpha * mean[(F(fake) - 1)^2] + beta * L_recon(input -> completion)
 
 with alpha = 0.25 and beta = 0.75.  The autoencoders are pretrained and
-frozen: gradients flow through the decoder weights but only the generator
-and discriminator are updated.  Ablation and supervised variants are driven
-entirely by TrainingMode.  The classic log-loss min-max objective is kept
+frozen: gradients flow through the decoder to the generator, but only the
+generator and discriminator are updated.  Ablation and supervised variants
+are driven entirely by TrainingMode.  The classic log-loss min-max objective is kept
 behind gan_loss="log" (sigmoid discriminator, saturating generator term).
 """
 
@@ -154,8 +154,15 @@ def gen_loss(
     Reconstruction is the soft directed Hausdorff (anchor -> completion) for
     recon_kind="hl", EMD for "emd".
     """
+    return _gen_loss_and_hard(f_fake, anchor, completion, w, kind)[0]
+
+
+def _gen_loss_and_hard(f_fake, anchor, completion, w, kind) -> tuple:
+    """(gen_loss, the hard directed Hausdorff anchor -> completion of each
+    cloud from the soft one's distances, or None when recon_kind is not
+    "hl" or beta is 0)."""
     anchor_arr = anchor.points if isinstance(anchor, PointSet) else np.asarray(anchor)
-    terms = []
+    terms, hard = [], None
     if w.alpha > 0:
         if f_fake is None:
             raise ValueError("alpha > 0 requires discriminator scores")
@@ -163,13 +170,14 @@ def gen_loss(
     if w.beta > 0:
         if w.recon_kind == "hl":
             recon = soft_hausdorff_loss(anchor_arr, completion, w.tau)
+            hard = recon.hard
         else:
             recon = emd_loss(completion, anchor_arr)
         terms.append(w.beta * recon)
     total = terms[0]
     for t in terms[1:]:
         total = total + t
-    return total
+    return total, hard
 
 
 # ---- pipeline ----
@@ -251,6 +259,15 @@ def train_gan(
     encoders run only through Network.predict and the decoder with
     train=False, so no parameter or running statistic of clean_ae or
     partial_ae changes; the generator and discriminator run with train=True.
+
+    Each step does each piece of work once.  The generator runs one forward
+    pass, which the discriminator step reads as a constant batch and the
+    generator step differentiates.  Each distance matrix is computed once:
+    in the soft-Hausdorff modes the curve's hard_HL comes from the loss's
+    own distances.  No gradient is computed to be thrown away: the codes and
+    the discriminator's batches are constants, and the generator step runs
+    through frozen views of the decoder and the discriminator
+    (Network.frozen), whose weights receive none.
     """
     settings = mode_settings(mode, tau=cfg.tau)
     clean = np.asarray(clean_clouds, dtype=np.float64)
@@ -283,7 +300,7 @@ def train_gan(
     # so the random stream is the same in every mode.
     z_clean = clean_ae.encoder.predict(clean) if settings.train_disc else None
     z_partial = source_enc.predict(partial)
-    decoder = clean_ae.decoder
+    decoder = clean_ae.decoder.frozen()
     n_pts = clean_ae.spec.n
 
     curves: list[dict] = []
@@ -309,15 +326,16 @@ def train_gan(
                         c_pos = 0
                     c_sel[j] = c_order[c_pos]
                     c_pos += 1
-                zr = Tensor(z_partial[p_sel])
                 loss_f_val = 0.0
                 try:
+                    gen.zero_grad()
+                    fake = gen.forward(Tensor(z_partial[p_sel], constant=True), train=True)
                     if settings.train_disc:
                         disc.zero_grad()
                         l_f = disc_loss(
-                            disc.forward(Tensor(z_clean[c_sel]), train=True),
-                            # the fake batch is detached from G
-                            disc.forward(Tensor(gen.predict(zr.data)), train=True),
+                            disc.forward(Tensor(z_clean[c_sel], constant=True), train=True),
+                            # the fake batch as a constant, detached from G
+                            disc.forward(Tensor(fake.data, constant=True), train=True),
                             kind=cfg.gan_loss,
                         )
                         loss_f_val = float(l_f.data)
@@ -329,15 +347,16 @@ def train_gan(
                             adam_step(opt_d, disc.param_vector(), disc.grad_vector())
                         )
 
-                    gen.zero_grad()
-                    disc.zero_grad()
-                    decoder.zero_grad()
-                    fake = gen.forward(zr, train=True)
-                    f_fake = disc.forward(fake, train=True) if settings.train_disc else None
+                    f_fake = None
+                    if settings.train_disc:
+                        # The discriminator as its step left it, with constant weights.
+                        f_fake = disc.frozen().forward(fake, train=True)
                     # The frozen decoder is differentiated with infer arithmetic.
                     completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
                     anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
-                    l_g = gen_loss(f_fake, anchor, completion, settings.weights, kind=cfg.gan_loss)
+                    l_g, hard = _gen_loss_and_hard(
+                        f_fake, anchor, completion, settings.weights, cfg.gan_loss
+                    )
                     loss_g_val = float(l_g.data)
                     if not np.isfinite(loss_g_val):
                         diverged = True
@@ -348,14 +367,15 @@ def train_gan(
                     diverged = True
                     break
 
-                hard = np.mean(hausdorff_directed_batch(partial[p_sel], completion.data))
+                if hard is None or settings.recon_target != "input":
+                    hard = hausdorff_directed_batch(partial[p_sel], completion.data)
                 adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
                 # backward() freed the interior nodes; drop the root and the outputs
                 # held here before the next batch's forward builds a graph.
                 del fake, f_fake, completion, l_g
                 sums["L_F"] += loss_f_val
                 sums["L_G"] += loss_g_val
-                sums["hard_HL"] += float(hard)
+                sums["hard_HL"] += float(np.mean(hard))
                 sums["adv_term"] += adv
                 batches += 1
             if diverged:

@@ -2,10 +2,11 @@
 
 A checkpoint bundle holds one or more named networks: layer specs, parameter
 arrays (base64 of little-endian float64), batchnorm running statistics, the
-RNG seed, and free-form metadata.  Loading verifies the stored architecture
-hash against the specs and decodes every parameter and running statistic to
-the shape its layer needs; anything that is missing, unreadable or does not
-match is rejected with a CheckpointError naming the file, the network and
+RNG seed, and free-form metadata.  Loading checks that each layer spec holds
+the keys its type needs, verifies the stored architecture hash against the
+specs and decodes every parameter and running statistic to the shape its
+layer needs; anything that is missing, unreadable or does not match is
+rejected with a CheckpointError naming the file, the network and
 the entry, rather than silently reinterpreted.  Bundles reference other
 checkpoint files by the sha256 of their bytes.  Format v1 also has an
 "optimizers" section; the writer always leaves it empty and the loader
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..fileio import write_atomic
 from ..rng import Rng
-from .layers import BatchNorm, Network, build_layer
+from .layers import INIT_SCHEMES, SPEC_KEYS, BatchNorm, Network, build_layer
 
 CHECKPOINT_FORMAT = "scanmend-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -59,6 +60,29 @@ def _decode_array(section: dict, keys: tuple, shape: tuple, where: str) -> np.nd
     if arr.shape != shape:
         raise CheckpointError(f"{where}: entry {entry} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def _entry(d, key: str, where: str, prefix: str = ""):
+    """d[key]; CheckpointError naming `where` and the entry prefix + key
+    when d is not a dict or lacks the key."""
+    if not isinstance(d, dict) or key not in d:
+        raise CheckpointError(f"{where}: missing entry {prefix}{key}")
+    return d[key]
+
+
+def _layer_spec(spec, i: int, where: str) -> dict:
+    """Layer spec i, which must hold the keys its type needs with usable
+    values; CheckpointError naming `where` and the entry otherwise."""
+    prefix = f"architecture.{i}."
+    kind = _entry(spec, "type", where, prefix)
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise CheckpointError(f"{where}: entry {prefix}type is {kind!r}, not a layer type")
+    for key in SPEC_KEYS[kind]:
+        value = _entry(spec, key, where, prefix)
+        ok = value in INIT_SCHEMES if key == "init" else type(value) is int and value > 0
+        if not ok:
+            raise CheckpointError(f"{where}: entry {prefix}{key} is {value!r}")
+    return spec
 
 
 def _network_section(net: Network) -> dict:
@@ -130,13 +154,19 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
         raise CheckpointError(f"{path}: kind {doc['kind']!r}, expected {expect_kind!r}")
     nets = {}
     for name, section in doc["networks"].items():
+        where = f"{path}: network {name!r}"
+        specs = _entry(section, "architecture", where)
+        if not isinstance(specs, list):
+            raise CheckpointError(f"{where}: entry architecture is not a list of layer specs")
+        stored_hash = _entry(section, "architecture_hash", where)
         rng = Rng(0)  # init values are overwritten below
-        net = Network([build_layer(s, rng) for s in section["architecture"]], name=name)
-        if net.architecture_hash() != section["architecture_hash"]:
+        net = Network(
+            [build_layer(_layer_spec(s, i, where), rng) for i, s in enumerate(specs)], name=name
+        )
+        if net.architecture_hash() != stored_hash:
             raise ArchitectureMismatchError(
                 f"{path}: architecture hash mismatch for network {name!r}"
             )
-        where = f"{path}: network {name!r}"
         for pname, t in net.named_parameters():
             t.data = _decode_array(section, ("params", pname), t.data.shape, where)
         for i, layer in enumerate(net.layers):

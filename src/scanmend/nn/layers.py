@@ -13,13 +13,16 @@ updates the running statistics.  `predict`, for inference, runs the infer
 formulas on plain arrays with the running statistics, builds no node, and
 writes only into arrays it allocated, never into its input, even when the
 first layer is a ReLU or a BatchNorm.  So Network.predict(x) is
-forward(Tensor(x), train=False).data, bit for bit.  Initialization is
+forward(Tensor(x), train=False).data, bit for bit.  `frozen()` gives a view
+of a network whose parameters are constants (see nn.tensor), to
+differentiate through it without training it.  Initialization is
 seed-controlled: Kaiming-uniform ahead of ReLU, Xavier for final linear
 layers.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -30,6 +33,7 @@ from .tensor import Tensor, affine, affine_backward
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+INIT_SCHEMES = ("kaiming", "xavier")  # see _init_weight
 
 
 def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng) -> np.ndarray:
@@ -111,12 +115,12 @@ class BatchNorm:
 
     # ---- arithmetic on (rows, width) arrays ----
 
-    def normalize_train(self, flat: np.ndarray, out=None) -> tuple:
+    def normalize_train(self, flat: np.ndarray, mu: np.ndarray, out=None) -> tuple:
         """(x-hat, inv) of `flat` under its batch statistics, and update the
-        running averages.  x-hat is written to `out`, which may be `flat`
-        itself, or to a new array when out is None."""
+        running averages; `mu` is the batch mean, flat.mean(axis=0).  x-hat
+        is written to `out`, which may be `flat` itself, or to a new array
+        when out is None."""
         m = flat.shape[0]
-        mu = flat.mean(axis=0)
         xhat = np.subtract(flat, mu, out=out)
         var = np.einsum("ij,ij->j", xhat, xhat) / m
         self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
@@ -181,7 +185,8 @@ class BatchNorm:
         shape, width = x.data.shape, self.width
         m = x.data.size // width
         if train:
-            xhat, inv = self.normalize_train(x.data.reshape(m, width))
+            flat = x.data.reshape(m, width)
+            xhat, inv = self.normalize_train(flat, flat.mean(axis=0))
             y = self.scale_shift(xhat)
 
             def backward(g):
@@ -287,24 +292,40 @@ class PointBlock:
         """(output, flat inputs of the first `keep` triples, (x-hat, inv) per
         triple for a train or (mean, inv) for an infer call) of the run on
         array x.  `check(array, i)` raises when the output of layer i is not
-        finite; `index` is the index of the run's first layer."""
+        finite; `index` is the index of the run's first layer.
+
+        Each triple is scanned once, at its BatchNorm output, which is not
+        finite whenever its GEMM output is not.  The dense layer is still
+        named when its output is the one that is not finite: a train call
+        scans the GEMM output when the batch mean is not finite, before the
+        running statistics change; an infer call, whose BatchNorm overwrote
+        the GEMM output, recomputes it from the input when the scan fails."""
         inputs, states = [], []
         for j, (dense, bn) in enumerate(self.triples):
             dense.check_input(x)
             shape = x.shape[:-1] + (dense.n_out,)
-            flat, h = affine(x, dense.w.data, dense.b.data)
+            w, b = dense.w.data, dense.b.data
+            flat, h = affine(x, w, b)
             if j < keep:
                 inputs.append(flat)
-            # A later triple's input is a view of the previous output: drop it.
-            del x, flat
-            check(h, index + 3 * j)
             if train:
-                states.append(bn.normalize_train(h, out=h))
+                # A later triple's input is a view of the previous output: drop it.
+                del x, flat
+                mu = h.mean(axis=0)
+                if not np.isfinite(mu).all():
+                    check(h, index + 3 * j)
+                states.append(bn.normalize_train(h, mu, out=h))
                 y = bn.scale_shift(h)
+                check(y, index + 3 * j + 1)
             else:
                 states.append(bn.infer_stats())
                 y = bn.normalize_infer(h, *states[-1], out=h)
-            check(y, index + 3 * j + 1)
+                try:
+                    check(y, index + 3 * j + 1)
+                except FloatingPointError:
+                    check(affine(flat, w, b)[1], index + 3 * j)
+                    raise
+                del x, flat
             # ReLU maps finite values to finite values, so its output needs no check.
             x = np.maximum(y, 0.0, out=y).reshape(shape)
         return x, inputs, states
@@ -446,6 +467,22 @@ class Network:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
+    def frozen(self) -> "Network":
+        """A view of the network as it is now, to differentiate through it
+        without training it: copies of its layers whose parameters are
+        constants on the arrays they hold now, so a backward through the
+        view reaches its input only.  The view shares no state that a call
+        changes: set_param_vector rebinds the network's arrays, not the
+        view's, and a train call on the view updates the view's BatchNorm
+        running statistics, not the network's."""
+        layers = []
+        for layer in self.layers:
+            view = copy.copy(layer)
+            for name, t in layer.param_items():
+                setattr(view, name, Tensor(t.data, constant=True))
+            layers.append(view)
+        return Network(layers, name=self.name)
+
     def zero_grad(self) -> None:
         for t in self.parameters():
             t.grad = None
@@ -494,6 +531,16 @@ def dense_stack(n_in: int, widths: tuple, rng: Rng, name: str) -> Network:
         n_in = width
     layers.append(Dense(n_in, widths[-1], rng, init="xavier"))
     return Network(layers, name=name)
+
+
+# The keys of each layer type's spec record besides "type", as build_layer reads them.
+SPEC_KEYS = {
+    "dense": ("in", "out", "init"),
+    "pointwise": ("in", "out", "init"),
+    "batchnorm": ("width",),
+    "relu": (),
+    "maxpool": (),
+}
 
 
 def build_layer(spec: dict, rng: Rng):

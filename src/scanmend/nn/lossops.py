@@ -49,19 +49,29 @@ def emd_loss(pred: Tensor, target) -> Tensor:
     return out
 
 
+class HausdorffLoss(Tensor):
+    """The soft-Hausdorff loss node; `hard` holds each cloud's hard directed
+    Hausdorff distance source -> completion, taken from the same distance
+    pass (see distances.soft_hausdorff_batch)."""
+
+    __slots__ = ("hard",)
+
+
 def soft_hausdorff_loss(source, completion: Tensor, tau: float = 0.01) -> Tensor:
     """Mean over the batch of the soft directed Hausdorff source -> completion.
 
     `source` (the partial input) is a constant; gradients flow into the
-    completion only.
+    completion only.  The result is a HausdorffLoss, whose `hard` holds the
+    (batch,) hard distances.
     """
     s = _batched(np.asarray(source, dtype=np.float64))
     c = _batched(completion.data)
     if s.shape[0] != c.shape[0]:
         raise ValueError(f"batch sizes differ: {s.shape[0]} vs {c.shape[0]}")
     batch = c.shape[0]
-    values, grads = distances.soft_hausdorff_batch(s, c, tau)
-    out = Tensor(values.mean(), (completion,))
+    values, grads, hard = distances.soft_hausdorff_batch(s, c, tau)
+    out = HausdorffLoss(values.mean(), (completion,))
+    out.hard = hard
 
     def backward(g):
         completion.accum_grad((g * grads / batch).reshape(completion.data.shape))

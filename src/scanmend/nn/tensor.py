@@ -7,6 +7,14 @@ most three axes (batch, points, features).  Custom operations (EMD, soft
 Hausdorff, max pooling) build nodes directly by supplying parents and
 assigning _backward.
 
+A tensor may be a constant: data that no gradient is wanted for, such as
+a batch of inputs or the weights of a frozen network (see
+layers.Network.frozen).  A constant receives no gradient: accum_grad
+ignores it, so its `grad` stays None, and the affine backward skips the
+GEMM or the bias sum that would produce one.  Every other gradient is the
+same, bit for bit, as with a variable in its place: skipping a constant's
+gradient changes no operand of any other.
+
 Four rules keep memory behavior sane across long training runs:
 
 * Backward consumes the graph.  A backward closure receives the output
@@ -40,10 +48,11 @@ Four rules keep memory behavior sane across long training runs:
   The point block's train call saves only each triple's x-hat and `inv`;
   its backward recomputes each triple's input, the previous triple's
   output, from the previous x-hat before that x-hat is overwritten.
-* The root and the leaves keep their gradients.  `grad` is None until
-  backward reaches the tensor, and accumulation always rebinds
-  (`grad = grad + g`).  backward(upstream) leaves `root.grad is upstream`,
-  unchanged, and hands the root's closure a private copy.
+* The root and the leaves keep their gradients (a constant has none).
+  `grad` is None until backward reaches the tensor, and accumulation always
+  rebinds (`grad = grad + g`).  backward(upstream) leaves
+  `root.grad is upstream`, unchanged, and hands the root's closure a
+  private copy.
 """
 
 from __future__ import annotations
@@ -75,10 +84,13 @@ def affine(data: np.ndarray, w: np.ndarray, b: np.ndarray | None):
 
 
 def affine_backward(g2: np.ndarray, flat: np.ndarray, x: "Tensor", w: "Tensor", b) -> None:
-    """Route the (rows, n_out) output gradient `g2` of affine() to x, w and b."""
-    x.accum_grad((g2 @ w.data.T).reshape(x.data.shape))
-    w.accum_grad(flat.T @ g2)
-    if b is not None:
+    """Route the (rows, n_out) output gradient `g2` of affine() to x, w and
+    b, computing none for a constant."""
+    if not x.constant:
+        x.accum_grad((g2 @ w.data.T).reshape(x.data.shape))
+    if not w.constant:
+        w.accum_grad(flat.T @ g2)
+    if b is not None and not b.constant:
         b.accum_grad(g2.sum(axis=0))
 
 
@@ -91,13 +103,14 @@ def _consumed(g) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "_backward", "_parents", "constant")
 
-    def __init__(self, data, parents=()):
+    def __init__(self, data, parents=(), constant: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._backward = None
         self._parents = tuple(parents)
+        self.constant = constant
 
     @property
     def shape(self):
@@ -107,8 +120,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def accum_grad(self, g) -> None:
-        """Add `g` into the gradient slot without mutating any array."""
-        self.grad = g if self.grad is None else self.grad + g
+        """Add `g` into the gradient slot without mutating any array; a
+        constant keeps no gradient."""
+        if not self.constant:
+            self.grad = g if self.grad is None else self.grad + g
 
     def grad_or_zeros(self) -> np.ndarray:
         return np.zeros_like(self.data) if self.grad is None else self.grad

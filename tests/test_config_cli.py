@@ -437,6 +437,22 @@ def test_complete_rejects_bad_checkpoint_entry(micro_run, tmp_path, capsys, entr
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_complete_rejects_checkpoint_spec_without_init(micro_run, tmp_path, capsys):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    ckpt = clone / "checkpoints" / "clean_ae.json"
+    doc = json.loads(ckpt.read_text())
+    del doc["networks"]["encoder"]["architecture"][0]["init"]
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", "--run", str(clone), "--config", str(micro_run["cfg"]),
+                 "--input", str(clone / "dataset" / "partial_test"),
+                 "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: network 'encoder': missing entry architecture.0.init\n"
+    )
+
+
 def test_eval_name_mismatch_is_reported(micro_run, tmp_path, capsys):
     run = micro_run["run"]
     renamed = tmp_path / "renamed"

@@ -184,7 +184,7 @@ def test_hausdorff_monotone_in_reference():
 
 def _soft_hausdorff(s, r, tau):
     """Value and gradient in r of soft_hausdorff_batch on a batch of one."""
-    values, grads = soft_hausdorff_batch(
+    values, grads, _ = soft_hausdorff_batch(
         np.asarray(s, dtype=np.float64)[None], np.asarray(r, dtype=np.float64)[None], tau
     )
     return float(values[0]), grads[0]

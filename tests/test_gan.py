@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scanmend import gan
 from scanmend.autoencoder import Autoencoder, AutoencoderSpec, reconstruction_emd
 from scanmend.gan import (
     CompletionPipeline,
@@ -203,6 +204,32 @@ def test_train_gan_curves_and_determinism():
 
     r3 = train_gan(clean, partial, TrainingMode.DEFAULT, small_cfg(seed=9), clean_ae=ae)
     assert r3.curves != r1.curves
+
+
+@pytest.mark.parametrize("hl_against_gt", [False, True])
+def test_hard_hl_curve_equals_the_direct_computation(monkeypatch, hl_against_gt):
+    # hard_HL is the directed Hausdorff partial -> completion.  In the
+    # soft-Hausdorff modes train_gan reads it from the loss's own distances;
+    # forcing the direct computation must give the same curves bit for bit.
+    # That includes a soft-Hausdorff mode anchored to the ground truth, whose
+    # loss distances are not the curve's (no such mode exists today).
+    ae, clean, partial = tiny_setup()
+    pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
+    if hl_against_gt:
+        entry = (0.25, 0.75, "hl", "gt", "clean")
+        monkeypatch.setitem(gan._MODE_TABLE, TrainingMode.SUPERVISED_EMD_GAN, entry)
+
+    def curves():
+        return [
+            train_gan(clean, partial, mode, small_cfg(), clean_ae=ae, partial_ae=pae,
+                      partial_gt=clean).curves
+            for mode in TrainingMode
+        ]
+
+    from_loss = curves()
+    split = gan._gen_loss_and_hard
+    monkeypatch.setattr(gan, "_gen_loss_and_hard", lambda *a: (split(*a)[0], None))
+    assert curves() == from_loss
 
 
 def _frozen_state(ae) -> list:

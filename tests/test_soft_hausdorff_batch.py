@@ -8,6 +8,7 @@ ones; the matmul form's cancellation error then stays near machine epsilon.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -73,7 +74,7 @@ def assert_matches_reference(s, r, tau, values, grads):
 @given(problems())
 def test_batched_matches_per_sample_reference(problem):
     s, r, tau = problem
-    values, grads = soft_hausdorff_batch(s, r, tau)
+    values, grads, _ = soft_hausdorff_batch(s, r, tau)
     assert values.shape == (s.shape[0],) and grads.shape == r.shape
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
     assert_matches_reference(s, r, tau, values, grads)
@@ -112,7 +113,7 @@ def test_coincident_points_give_zero_gradient(batch, n_s, n_r, point):
     # every source and reference point at one spot: distance 0 everywhere
     s = np.broadcast_to(point, (batch, n_s, 3)).copy()
     r = np.broadcast_to(point, (batch, n_r, 3)).copy()
-    values, grads = soft_hausdorff_batch(s, r, 0.01)
+    values, grads, _ = soft_hausdorff_batch(s, r, 0.01)
     assert np.array_equal(grads, np.zeros_like(r))
     assert np.all(np.isfinite(values))
 
@@ -121,7 +122,7 @@ def test_coincident_points_give_zero_gradient(batch, n_s, n_r, point):
 @given(problems())
 def test_value_within_log_bound_of_hard_value(problem):
     s, r, tau = problem
-    values, _ = soft_hausdorff_batch(s, r, tau)
+    values, _, _ = soft_hausdorff_batch(s, r, tau)
     hard = hausdorff_directed_batch(s, r)
     bound = tau * np.log(s.shape[1] * r.shape[1])
     assert np.all(np.abs(values - hard) <= bound + 1e-12)
@@ -146,3 +147,29 @@ def test_hard_batch_is_bit_identical_to_per_pair(pair):
     got = hausdorff_directed_batch(s, r)
     want = [hausdorff_directed(s[b], r[b]) for b in range(s.shape[0])]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("case", ["random", "coincident", "duplicated"])
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_hard_distance_of_soft_pass_equals_hausdorff_directed_batch(scale, case):
+    # The GAN curve's hard_HL is read from the soft-Hausdorff pass's nearest
+    # distances instead of a second cdist; it must equal the direct
+    # computation bit for bit.  15 draws per case, 315 in all.
+    rng = np.random.default_rng([int(np.log10(scale)) + 3, len(case)])
+    for _ in range(15):
+        s = rng.normal(size=(3, 24, 3)) * scale
+        r = rng.normal(size=(3, 32, 3)) * scale
+        if case == "coincident":  # lo == 0 for some points, all of cloud 0
+            r[:, :8] = s[:, :8]
+            r[0, 8:] = s[0, rng.integers(0, 24, size=24)]
+            s[0, 8:] = r[0, 8:24]
+        elif case == "duplicated":
+            s[:, 12:] = s[:, :12]
+            r[:, 16:] = r[:, :16]
+        tau = rng.choice([0.005, 0.01, 0.2])
+        expected = hausdorff_directed_batch(s, r)
+        if case == "coincident":
+            assert expected[0] == 0.0
+        assert soft_hausdorff_batch(s, r, tau)[2].tobytes() == expected.tobytes()
+        loss = soft_hausdorff_loss(s, Tensor(r), tau)
+        assert loss.hard.tobytes() == expected.tobytes()

@@ -501,6 +501,33 @@ def test_adam_matches_reference_recurrence():
         p = p_new
 
 
+def test_adam_in_place_equals_out_of_place_formula_bit_for_bit():
+    # The formula as adam_step wrote it before it updated the moments in
+    # place; the in-place form must keep its order of operations.
+    state = AdamState(lr=0.003, beta1=0.5, beta2=0.999, eps=1e-8)
+    rng = Rng(53)
+    p = rng.normal(40) * 3.0
+    m, v = np.zeros(40), np.zeros(40)
+    for t in range(1, 6):
+        g = rng.normal(40) * 10.0 ** (t - 3)
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        expected = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p_bytes, g_bytes = p.tobytes(), g.tobytes()
+        moments = (state.m, state.v)
+        p_new = adam_step(state, p, g)
+        assert p_new.tobytes() == expected.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        # Neither argument is written, and the result is a new array.
+        assert p.tobytes() == p_bytes and g.tobytes() == g_bytes
+        assert not np.shares_memory(p_new, p) and not np.shares_memory(p_new, g)
+        if t > 1:  # the moments are updated in their own arrays
+            assert state.m is moments[0] and state.v is moments[1]
+        p = p_new
+
+
 def test_adam_converges_on_quadratic():
     state = AdamState(lr=0.1)
     p = np.array([5.0, -3.0])
@@ -690,6 +717,68 @@ def _b64(values) -> str:
     ],
 )
 def test_checkpoint_rejects_bad_entries(tmp_path, tamper, msg):
+    path = tmp_path / "ck.json"
+    save_bundle(path, {"enc": _toy_net()}, kind="test", seed=0)
+    doc = json.loads(path.read_text())
+    tamper(doc["networks"]["enc"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=msg) as exc:
+        load_bundle(bad)
+    assert str(exc.value).startswith(f"{bad}: network 'enc': ")
+
+
+def _drop(*keys):
+    """Tamper that deletes section[keys[0]][keys[1]]...[keys[-1]]."""
+
+    def tamper(section):
+        for key in keys[:-1]:
+            section = section[key]
+        del section[keys[-1]]
+
+    return tamper
+
+
+def _put(value, *keys):
+    def tamper(section):
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper,msg",
+    [
+        pytest.param(_drop("architecture"), "missing entry architecture$", id="architecture"),
+        pytest.param(_drop("architecture_hash"), "missing entry architecture_hash$",
+                     id="architecture_hash"),
+        pytest.param(_drop("architecture", 0, "type"), r"missing entry architecture\.0\.type$",
+                     id="type"),
+        pytest.param(_drop("architecture", 0, "in"), r"missing entry architecture\.0\.in$",
+                     id="in"),
+        pytest.param(_drop("architecture", 0, "out"), r"missing entry architecture\.0\.out$",
+                     id="out"),
+        pytest.param(_drop("architecture", 0, "init"), r"missing entry architecture\.0\.init$",
+                     id="init"),
+        pytest.param(_drop("architecture", 1, "width"),
+                     r"missing entry architecture\.1\.width$", id="width"),
+        pytest.param(_put("conv", "architecture", 2, "type"),
+                     r"entry architecture\.2\.type is 'conv', not a layer type$", id="bad-type"),
+        pytest.param(_put("orthogonal", "architecture", 0, "init"),
+                     r"entry architecture\.0\.init is 'orthogonal'$", id="bad-init"),
+        pytest.param(_put(0, "architecture", 0, "in"), r"entry architecture\.0\.in is 0$",
+                     id="zero-width"),
+        pytest.param(_put("4", "architecture", 1, "width"),
+                     r"entry architecture\.1\.width is '4'$", id="string-width"),
+        pytest.param(_put({}, "architecture"), "entry architecture is not a list",
+                     id="not-a-list"),
+    ],
+)
+def test_checkpoint_rejects_bad_layer_specs(tmp_path, tamper, msg):
+    # Each spec is checked before any layer is built, so a missing key is
+    # named as an entry, not raised as a KeyError from build_layer.
     path = tmp_path / "ck.json"
     save_bundle(path, {"enc": _toy_net()}, kind="test", seed=0)
     doc = json.loads(path.read_text())
