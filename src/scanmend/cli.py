@@ -183,7 +183,7 @@ def _load_pipeline(paths: dict, mode: str):
     """GAN checkpoint + the autoencoders it was trained against."""
     gan_file = _require_checkpoint(_gan_path(paths, mode), f"run train-gan --mode {mode} first")
     bundle = load_gan(gan_file)
-    uses_partial = mode_settings(bundle.extra.get("mode", mode)).latent_source == "partial"
+    uses_partial = mode_settings(bundle.extra["mode"]).latent_source == "partial"
     aes = {}
     for target in ("clean", "partial") if uses_partial else ("clean",):
         aes[target], digest = _load_ae(paths, target)
@@ -252,7 +252,6 @@ def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, aes: di
         seed=g["seed"],
         clean_ae_hash=clean_hash,
         partial_ae_hash=partial_hash,
-        gan_loss=g["gan_loss"],
     )
     _write_csv(
         os.path.join(paths["reports"], f"gan_{mode.value}_loss.csv"),

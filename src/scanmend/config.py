@@ -46,7 +46,6 @@ _PAPER_SCALE = {
         "epochs": 1000,
         "mode": "default",
         "tau": 0.01,
-        "gan_loss": "ls",
         "seed": 0,
     },
     "eval": {"eps": 0.03, "jsd_grid": 32, "r_sweep": [0.1, 0.2, 0.3, 0.4, 0.5], "seed": 0},
@@ -79,7 +78,6 @@ _DESK_SCALE = {
         "epochs": 500,
         "mode": "default",
         "tau": 0.01,
-        "gan_loss": "ls",
         "seed": 0,
     },
     "eval": {"eps": 0.03, "jsd_grid": 32, "r_sweep": [0.1, 0.2, 0.3, 0.4, 0.5], "seed": 0},
@@ -180,7 +178,6 @@ SCHEMA = {
         "epochs": _COUNT,
         "mode": (lambda v: v in _MODES, f"one of {_MODES}"),
         "tau": _POSITIVE,
-        "gan_loss": (lambda v: v in ("ls", "log"), "'ls' or 'log'"),
         "seed": _SEED,
     },
     "eval": {

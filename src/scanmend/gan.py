@@ -11,8 +11,8 @@ anchor that keeps the decoded completion consistent with the partial input:
 with alpha = 0.25 and beta = 0.75.  The autoencoders are pretrained and
 frozen: gradients flow through the decoder to the generator, but only the
 generator and discriminator are updated.  Ablation and supervised variants
-are driven entirely by TrainingMode.  The classic log-loss min-max objective is kept
-behind gan_loss="log" (sigmoid discriminator, saturating generator term).
+are driven entirely by TrainingMode.  The adversarial objective is always
+least squares (LSGAN, Mao et al. 2017), as in the paper.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder
 from .distances import hausdorff_directed_batch
-from .nn.checkpoint import Bundle, load_bundle, save_bundle
+from .nn.checkpoint import Bundle, CheckpointError, load_bundle, save_bundle
 from .nn.layers import Network, dense_stack
 from .nn.lossops import emd_loss, soft_hausdorff_loss
 from .nn.optim import AdamState, adam_step
@@ -120,33 +120,16 @@ def build_discriminator(spec: GanSpec, rng: Rng) -> Network:
 # ---- losses ----
 
 
-def disc_loss(f_real: Tensor, f_fake: Tensor, kind: str = "ls") -> Tensor:
-    """Discriminator objective on raw scores: least-squares by default."""
-    if kind == "ls":
-        return ((f_real - 1.0) ** 2.0).mean() + (f_fake**2.0).mean()
-    if kind == "log":
-        eps = 1e-12
-        return -((f_real.sigmoid() + eps).log()).mean() - (
-            (1.0 - f_fake.sigmoid() + eps).log()
-        ).mean()
-    raise ValueError(f"unknown gan loss kind {kind!r}")
+def disc_loss(f_real: Tensor, f_fake: Tensor) -> Tensor:
+    """Least-squares discriminator objective on raw scores."""
+    return ((f_real - 1.0) ** 2.0).mean() + (f_fake**2.0).mean()
 
 
-def _gen_adv_term(f_fake: Tensor, kind: str) -> Tensor:
-    if kind == "ls":
-        return ((f_fake - 1.0) ** 2.0).mean()
-    if kind == "log":  # saturating min-max form
-        return ((1.0 - f_fake.sigmoid() + 1e-12).log()).mean()
-    raise ValueError(f"unknown gan loss kind {kind!r}")
+def _gen_adv_term(f_fake: Tensor) -> Tensor:
+    return ((f_fake - 1.0) ** 2.0).mean()
 
 
-def gen_loss(
-    f_fake: Tensor | None,
-    anchor,
-    completion: Tensor,
-    w: LossWeights,
-    kind: str = "ls",
-) -> Tensor:
+def gen_loss(f_fake: Tensor | None, anchor, completion: Tensor, w: LossWeights) -> Tensor:
     """Generator objective: alpha * adversarial + beta * reconstruction.
 
     `anchor` is the cloud the completion must stay close to: the partial
@@ -154,10 +137,10 @@ def gen_loss(
     Reconstruction is the soft directed Hausdorff (anchor -> completion) for
     recon_kind="hl", EMD for "emd".
     """
-    return _gen_loss_and_hard(f_fake, anchor, completion, w, kind)[0]
+    return _gen_loss_and_hard(f_fake, anchor, completion, w)[0]
 
 
-def _gen_loss_and_hard(f_fake, anchor, completion, w, kind) -> tuple:
+def _gen_loss_and_hard(f_fake, anchor, completion, w) -> tuple:
     """(gen_loss, the hard directed Hausdorff anchor -> completion of each
     cloud from the soft one's distances, or None when recon_kind is not
     "hl" or beta is 0)."""
@@ -166,7 +149,7 @@ def _gen_loss_and_hard(f_fake, anchor, completion, w, kind) -> tuple:
     if w.alpha > 0:
         if f_fake is None:
             raise ValueError("alpha > 0 requires discriminator scores")
-        terms.append(w.alpha * _gen_adv_term(f_fake, kind))
+        terms.append(w.alpha * _gen_adv_term(f_fake))
     if w.beta > 0:
         if w.recon_kind == "hl":
             recon = soft_hausdorff_loss(anchor_arr, completion, w.tau)
@@ -225,7 +208,12 @@ class GanTrainConfig:
     epochs: int = PAPER_GAN_EPOCHS
     seed: int = 0
     tau: float = 0.01
-    gan_loss: str = "ls"  # "ls" | "log"
+    # Only because perfbench/workloads.py passes gan_loss="ls"; the loss is always LSGAN.
+    gan_loss: str = "ls"
+
+    def __post_init__(self):
+        if self.gan_loss != "ls":
+            raise ValueError(f"gan_loss must be 'ls', got {self.gan_loss!r}")
 
 
 @dataclass
@@ -336,7 +324,6 @@ def train_gan(
                             disc.forward(Tensor(z_clean[c_sel], constant=True), train=True),
                             # the fake batch as a constant, detached from G
                             disc.forward(Tensor(fake.data, constant=True), train=True),
-                            kind=cfg.gan_loss,
                         )
                         loss_f_val = float(l_f.data)
                         if not np.isfinite(loss_f_val):
@@ -354,9 +341,7 @@ def train_gan(
                     # The frozen decoder is differentiated with infer arithmetic.
                     completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
                     anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
-                    l_g, hard = _gen_loss_and_hard(
-                        f_fake, anchor, completion, settings.weights, cfg.gan_loss
-                    )
+                    l_g, hard = _gen_loss_and_hard(f_fake, anchor, completion, settings.weights)
                     loss_g_val = float(l_g.data)
                     if not np.isfinite(loss_g_val):
                         diverged = True
@@ -367,9 +352,11 @@ def train_gan(
                     diverged = True
                     break
 
-                if hard is None or settings.recon_target != "input":
+                # Every soft-Hausdorff mode anchors on the input, so its hard
+                # distance is the curve's; the other modes compute it here.
+                if hard is None:
                     hard = hausdorff_directed_batch(partial[p_sel], completion.data)
-                adv = float(_gen_adv_term(f_fake, cfg.gan_loss).data) if f_fake is not None else 0.0
+                adv = float(_gen_adv_term(f_fake).data) if f_fake is not None else 0.0
                 # backward() freed the interior nodes; drop the root and the outputs
                 # held here before the next batch's forward builds a graph.
                 del fake, f_fake, completion, l_g
@@ -405,8 +392,10 @@ def save_gan(
     seed: int,
     clean_ae_hash: str,
     partial_ae_hash: str | None = None,
-    gan_loss: str = "ls",
+    gan_loss: str = "ls",  # only because perfbench/workloads.py passes it
 ) -> str:
+    if gan_loss != "ls":
+        raise ValueError(f"gan_loss must be 'ls', got {gan_loss!r}")
     pipeline = result.pipeline
     return save_bundle(
         path,
@@ -416,7 +405,7 @@ def save_gan(
         extra={
             "mode": pipeline.mode,
             "k": pipeline.clean_ae.spec.k,
-            "gan_loss": gan_loss,
+            "gan_loss": "ls",  # a fixed field of checkpoint format v1
             "clean_ae_hash": clean_ae_hash,
             "partial_ae_hash": partial_ae_hash,
         },
@@ -424,13 +413,21 @@ def save_gan(
 
 
 def load_gan(path) -> Bundle:
-    return load_bundle(path, expect_kind="latent-gan")
+    """A latent-GAN bundle whose extra.mode is a TrainingMode value and which
+    holds a generator; CheckpointError naming the file otherwise."""
+    bundle = load_bundle(path, expect_kind="latent-gan")
+    mode = bundle.extra.get("mode")
+    if mode not in [m.value for m in TrainingMode]:
+        raise CheckpointError(f"{path}: entry extra.mode is {mode!r}, not a training mode")
+    if "generator" not in bundle.nets:
+        raise CheckpointError(f"{path}: missing network 'generator'")
+    return bundle
 
 
 def assemble_pipeline(
     bundle: Bundle, clean_ae: Autoencoder, partial_ae: Autoencoder | None = None
 ) -> CompletionPipeline:
-    mode = bundle.extra.get("mode", TrainingMode.DEFAULT.value)
+    mode = bundle.extra["mode"]
     needs_partial = mode_settings(mode).latent_source == "partial"
     if needs_partial and partial_ae is None:
         raise ValueError(f"mode {mode} requires the partial autoencoder")

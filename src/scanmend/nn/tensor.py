@@ -205,15 +205,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
-        def backward(g):
-            self.accum_grad(-g)
-
-        out._backward = backward
-        return out
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             out = Tensor(self.data - other.data, (self, other))
@@ -225,9 +216,6 @@ class Tensor:
             out._backward = backward
             return out
         return self + (-np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -282,7 +270,7 @@ class Tensor:
 
     __matmul__ = matmul
 
-    # ---- nonlinearities and elementwise maps ----
+    # ---- nonlinearity ----
 
     def relu(self):
         y = np.maximum(self.data, 0.0)
@@ -291,26 +279,6 @@ class Tensor:
         def backward(g):
             # y > 0 exactly where the input was positive.
             self.accum_grad(g * (y > 0.0))
-
-        out._backward = backward
-        return out
-
-    def sigmoid(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(s, (self,))
-
-        def backward(g):
-            self.accum_grad(g * s * (1.0 - s))
-
-        out._backward = backward
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        base = self.data
-
-        def backward(g):
-            self.accum_grad(g / base)
 
         out._backward = backward
         return out

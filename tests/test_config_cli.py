@@ -85,7 +85,9 @@ def test_overlay_and_preset_precedence():
         pytest.param({"ae": {"lr": 0}}, "ae.lr", id="patch9-ae.lr"),
         pytest.param({"ae": {"linear": 1}}, "ae.linear", id="patch10-ae.linear"),
         pytest.param({"gan": {"mode": "wgan"}}, "gan.mode", id="patch11-gan.mode"),
-        pytest.param({"gan": {"gan_loss": "hinge"}}, "gan.gan_loss", id="patch12-gan.gan_loss"),
+        pytest.param(
+            {"gan": {"gan_loss": "ls"}}, "unknown keys in 'gan'", id="patch12-gan.gan_loss"
+        ),
         pytest.param({"gan": {"tau": 0.0}}, "gan.tau", id="patch13-gan.tau"),
         pytest.param({"eval": {"r_sweep": []}}, "r_sweep", id="patch14-r_sweep"),
         pytest.param({"eval": {"jsd_grid": 1}}, "jsd_grid", id="patch15-jsd_grid"),
@@ -160,7 +162,7 @@ _LEAF = (
     | st.integers()
     | st.floats()
     | st.text(max_size=4)
-    | st.sampled_from([*FAMILIES, *(m.value for m in TrainingMode), "ls", "log", *PRESETS])
+    | st.sampled_from([*FAMILIES, *(m.value for m in TrainingMode), *PRESETS])
 )
 _JSON = st.recursive(
     _LEAF,
@@ -453,6 +455,29 @@ def test_complete_rejects_checkpoint_spec_without_init(micro_run, tmp_path, caps
     )
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["extra"].pop("mode"), "entry extra.mode is None, not a training mode"),
+    (lambda doc: doc["extra"].update(mode="bogus"),
+     "entry extra.mode is 'bogus', not a training mode"),
+    (lambda doc: doc["networks"].pop("generator"), "missing network 'generator'"),
+], ids=["no-mode", "bogus-mode", "no-generator"])
+def test_complete_rejects_gan_checkpoint_without_mode_or_generator(
+    micro_run, tmp_path, capsys, edit, message
+):
+    # The checkpoint's mode picks the source encoder; no other value stands in.
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    ckpt = clone / "checkpoints" / "gan_default.json"
+    doc = json.loads(ckpt.read_text())
+    edit(doc)
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["complete", "--run", str(clone), "--config", str(micro_run["cfg"]),
+                 "--input", str(clone / "dataset" / "partial_test"),
+                 "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
 def test_eval_name_mismatch_is_reported(micro_run, tmp_path, capsys):
     run = micro_run["run"]
     renamed = tmp_path / "renamed"
@@ -656,7 +681,6 @@ _REACH = {
     ("gan", "batch_size"): (3, _arg("train_gan", 3, "batch_size")),
     ("gan", "epochs"): (2, _arg("train_gan", 3, "epochs")),
     ("gan", "tau"): (0.02, _arg("train_gan", 3, "tau")),
-    ("gan", "gan_loss"): ("log", _arg("train_gan", 3, "gan_loss")),
     ("gan", "seed"): (5, _arg("train_gan", 3, "seed")),
     ("eval", "eps"): (
         0.05,

@@ -49,16 +49,6 @@ def test_disc_loss_substitution_examples():
     # batch means, not sums
     val = disc_loss(scores(1.0, 1.0), scores(1.0, 0.0))
     assert float(val.data) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError, match="unknown gan loss"):
-        disc_loss(scores(1.0), scores(0.0), kind="wgan")
-
-
-def test_disc_loss_log_kind():
-    # a confident sigmoid discriminator drives the log loss toward zero
-    good = float(disc_loss(scores(30.0), scores(-30.0), kind="log").data)
-    bad = float(disc_loss(scores(-30.0), scores(30.0), kind="log").data)
-    assert good == pytest.approx(0.0, abs=1e-9)
-    assert bad > 10.0
 
 
 def test_gen_loss_weighted_substitution():
@@ -206,18 +196,18 @@ def test_train_gan_curves_and_determinism():
     assert r3.curves != r1.curves
 
 
-@pytest.mark.parametrize("hl_against_gt", [False, True])
-def test_hard_hl_curve_equals_the_direct_computation(monkeypatch, hl_against_gt):
+def test_hard_hl_curve_equals_the_direct_computation(monkeypatch):
     # hard_HL is the directed Hausdorff partial -> completion.  In the
     # soft-Hausdorff modes train_gan reads it from the loss's own distances;
     # forcing the direct computation must give the same curves bit for bit.
-    # That includes a soft-Hausdorff mode anchored to the ground truth, whose
-    # loss distances are not the curve's (no such mode exists today).
+    # The reuse holds because every soft-Hausdorff mode anchors on the input.
+    assert all(
+        mode_settings(m).recon_target == "input"
+        for m in TrainingMode
+        if mode_settings(m).weights.recon_kind == "hl"
+    )
     ae, clean, partial = tiny_setup()
     pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
-    if hl_against_gt:
-        entry = (0.25, 0.75, "hl", "gt", "clean")
-        monkeypatch.setitem(gan._MODE_TABLE, TrainingMode.SUPERVISED_EMD_GAN, entry)
 
     def curves():
         return [
@@ -320,16 +310,6 @@ def test_train_gan_divergence_restores_last_finite_params():
     assert np.array_equal(res.pipeline.generator.param_vector(), gen0.param_vector())
 
 
-def test_log_loss_variant_trains():
-    ae, clean, partial = tiny_setup()
-    cfg = GanTrainConfig(lr=1e-3, beta1=0.5, batch_size=4, epochs=2, seed=0, gan_loss="log")
-    res = train_gan(clean, partial, TrainingMode.DEFAULT, cfg, clean_ae=ae)
-    assert not res.diverged
-    assert len(res.curves) == 2
-    # saturating generator term is negative when the discriminator wins
-    assert all(np.isfinite(row["adv_term"]) for row in res.curves)
-
-
 # ---- persistence ----
 
 
@@ -342,9 +322,21 @@ def test_save_load_round_trip_rebuilds_pipeline(tmp_path):
     assert bundle.extra["mode"] == "default"
     assert bundle.extra["clean_ae_hash"] == "cafe"
     assert bundle.extra["k"] == 4
+    assert bundle.extra["gan_loss"] == "ls"
     rebuilt = assemble_pipeline(bundle, ae)
     probe = Rng(11).normal((3, 16, 3))
     assert np.array_equal(rebuilt.complete_batch(probe), res.pipeline.complete_batch(probe))
+
+
+def test_gan_loss_accepts_only_least_squares(tmp_path):
+    ae, clean, partial = tiny_setup()
+    res = train_gan(clean, partial, TrainingMode.DEFAULT, small_cfg(epochs=1), clean_ae=ae)
+    for loss in ("log", "hinge"):
+        with pytest.raises(ValueError, match=f"gan_loss must be 'ls', got '{loss}'"):
+            GanTrainConfig(gan_loss=loss)
+        with pytest.raises(ValueError, match=f"gan_loss must be 'ls', got '{loss}'"):
+            save_gan(tmp_path / "gan.json", res, seed=0, clean_ae_hash="cafe", gan_loss=loss)
+    assert not (tmp_path / "gan.json").exists()
 
 
 def test_assemble_pipeline_checks_partial_ae(tmp_path):

@@ -1,14 +1,19 @@
-"""The entry points that perfbench/tracer.py wraps, by name and signature.
+"""The entry points that perfbench/tracer.py wraps, by name and signature,
+and what perfbench/workloads.py passes into scanmend.
 
 The tracer wraps functions and methods of scanmend at run time and reads
 their arguments by position: a layer's train flag as the third argument of
 its forward, a train_gan call's mode as the third, the clouds of a
-soft_hausdorff_loss call as its first two.  A renamed function, a new
-keyword or a reordered parameter would break only the benchmark's own smoke
-test, so this Tier-1 test pins what the tracer reads.
+soft_hausdorff_loss call as its first two.  The workloads pass keywords that
+nothing else in the project uses.  A renamed function, a deleted keyword or
+a reordered parameter would break only the benchmark's own smoke test, so
+this Tier-1 test pins what the benchmark reads and passes.
 """
 
+import importlib.util
 import inspect
+import os
+import sys
 
 import pytest
 
@@ -84,3 +89,16 @@ def test_every_traced_name_exists():
         if not callable(getattr(owner, name, None))
     ]
     assert missing == []
+
+
+def test_workloads_build_their_configs_and_find_the_keywords_they_pass(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.gan_config(1).epochs == 1
+    assert workloads.ae_config(1).epochs == 1
+    assert "gan_loss" in inspect.signature(gan.save_gan).parameters
+    assert "threads" in inspect.signature(synth.make_dataset).parameters
+    assert callable(checkpoint.content_hash)

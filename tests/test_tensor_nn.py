@@ -61,17 +61,14 @@ def fd_check(build_loss, x0, h=1e-6, tol=1e-6):
 
 def test_elementwise_op_gradients():
     rng = Rng(30)
-    x0 = rng.uniform((3, 4)) + 0.5  # positive, away from relu kink and log(0)
+    x0 = rng.uniform((3, 4)) + 0.5  # positive, away from zero
     y = rng.normal((3, 4))
     fd_check(lambda x: (x * 2.0 + 1.0).sum(), x0)
     fd_check(lambda x: (x * Tensor(y)).sum(), x0)
     fd_check(lambda x: (x - Tensor(y)).sum(), x0)
     fd_check(lambda x: (Tensor(y) - x).sum(), x0)
-    fd_check(lambda x: (-x).sum(), x0)
     fd_check(lambda x: (x**3.0).sum(), x0)
     fd_check(lambda x: x.relu().sum(), x0 - 1.0)
-    fd_check(lambda x: x.sigmoid().sum(), x0)
-    fd_check(lambda x: x.log().sum(), x0)
 
 
 def test_reduction_and_shape_gradients():
