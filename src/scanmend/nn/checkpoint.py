@@ -146,14 +146,23 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
         doc = json.loads(blob)
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: not a checkpoint ({e})") from e
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: unrecognized format {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: unrecognized format {fmt!r}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')!r}")
-    if expect_kind is not None and doc["kind"] != expect_kind:
-        raise CheckpointError(f"{path}: kind {doc['kind']!r}, expected {expect_kind!r}")
+    kind = _entry(doc, "kind", path)
+    if expect_kind is not None and kind != expect_kind:
+        raise CheckpointError(f"{path}: kind {kind!r}, expected {expect_kind!r}")
+    seed = _entry(doc, "seed", path)
+    networks = _entry(doc, "networks", path)
+    if not isinstance(networks, dict):
+        raise CheckpointError(f"{path}: entry networks is not a dict of networks")
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: entry extra is not a dict")
     nets = {}
-    for name, section in doc["networks"].items():
+    for name, section in networks.items():
         where = f"{path}: network {name!r}"
         specs = _entry(section, "architecture", where)
         if not isinstance(specs, list):
@@ -176,10 +185,10 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
                 layer.running_var = _decode_array(section, stats + ("var",), shape, where)
         nets[name] = net
     return Bundle(
-        kind=doc["kind"],
-        seed=doc["seed"],
+        kind=kind,
+        seed=seed,
         nets=nets,
-        extra=doc.get("extra", {}),
+        extra=extra,
         content_hash=hashlib.sha256(blob).hexdigest(),
     )
 

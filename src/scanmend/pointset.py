@@ -10,6 +10,7 @@ threshold in this package assumes.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .rng import Rng
 
@@ -93,28 +94,20 @@ def downsample(pset: PointSet, m: int, rng: Rng) -> PointSet:
 def farthest_point_indices(points: np.ndarray, m: int, start: int) -> np.ndarray:
     """FPS index sequence starting from `start` (ties broken by lower index).
 
-    Squared distances are summed (dx^2 + dy^2) + dz^2 over contiguous
-    coordinate columns into reused buffers, the order of a sum over a
-    trailing axis of three, so the sequence is that of the (n, 3) form.
+    Each pick's squared distances come from one sqeuclidean cdist call,
+    which sums (dx^2 + dy^2) + dz^2, the order of a sum over a trailing
+    axis of three, so the sequence is that of the (n, 3) form.
     """
-    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     selected = np.empty(m, dtype=np.int64)
     selected[0] = start
-    min_d2, d2, diff = (np.empty(points.shape[0]) for _ in range(3))
-
-    def sq_dist(i: int, out: np.ndarray) -> None:
-        np.subtract(x, x[i], out=out)
-        out *= out
-        for col in (y, z):
-            np.subtract(col, col[i], out=diff)
-            out += np.multiply(diff, diff, out=diff)
-
-    sq_dist(start, min_d2)
+    min_d2 = cdist(pts[start : start + 1], pts, "sqeuclidean")[0]
+    d2 = np.empty((1, pts.shape[0]))
     for i in range(1, m):
-        nxt = int(np.argmax(min_d2))
+        nxt = int(min_d2.argmax())
         selected[i] = nxt
-        sq_dist(nxt, d2)
-        np.minimum(min_d2, d2, out=min_d2)
+        cdist(pts[nxt : nxt + 1], pts, "sqeuclidean", out=d2)
+        np.minimum(min_d2, d2[0], out=min_d2)
     return selected
 
 

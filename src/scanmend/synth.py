@@ -230,10 +230,13 @@ def _legs(w: float, d: float, s: float, top: float) -> list:
 
 @dataclass(frozen=True)
 class RayGrid:
-    """Parallel rays along `direction` on a square grid.
+    """Parallel rays of one or more cameras, each on the same square grid.
 
-    Ray i * res + j starts at base + span[i] * bu + span[j] * bv, where res
-    is len(span); direction, bu and bv are orthonormal and span increases.
+    base, direction, bu and bv hold one row per camera.  Camera k's ray
+    i * res + j starts at base[k] + span[i] * bu[k] + span[j] * bv[k] and
+    runs along direction[k], where res is len(span); direction[k], bu[k]
+    and bv[k] are orthonormal and span increases.  origins[k] holds camera
+    k's res * res ray origins.
     """
 
     base: np.ndarray
@@ -245,8 +248,11 @@ class RayGrid:
 
     def __post_init__(self):
         uu, vv = np.meshgrid(self.span, self.span, indexing="ij")
-        grid = uu.reshape(-1, 1) * self.bu + vv.reshape(-1, 1) * self.bv
-        object.__setattr__(self, "origins", self.base + grid)
+        # Built coordinate-major, so each product runs over a camera's rays
+        # and _first_hits reads the (coordinate, ray) layout without a copy.
+        axes = [np.ascontiguousarray(w.T)[:, :, None] for w in (self.base, self.bu, self.bv)]
+        grid = uu.reshape(-1) * axes[1] + vv.reshape(-1) * axes[2]
+        object.__setattr__(self, "origins", (axes[0] + grid).transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -260,19 +266,25 @@ class Camera:
         if isinstance(self.res, bool) or not isinstance(self.res, numbers.Integral) or self.res < 1:
             raise ValueError(f"camera res must be an int >= 1, got {self.res!r}")
 
-    def rays(self, center: np.ndarray, radius: float) -> RayGrid:
-        """Rays over a square of half-width 1.05 * radius about `center`,
-        starting 2 * radius behind it, so they cover the sphere (center,
-        radius) from outside."""
-        d = np.asarray(self.direction, dtype=np.float64)
-        d = d / np.sqrt((d * d).sum())
-        # orthonormal basis perpendicular to the ray direction
-        up = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        bu = np.array(_cross(d, up))
-        bu /= np.sqrt((bu * bu).sum())
-        bv = np.array(_cross(d, bu))
-        span = np.linspace(-1.05 * radius, 1.05 * radius, self.res)
-        return RayGrid(center - d * (2.0 * radius), d, bu, bv, span)
+
+def camera_rays(cameras: list, center: np.ndarray, radius: float) -> RayGrid:
+    """Every camera's rays over a square of half-width 1.05 * radius about
+    `center`, starting 2 * radius behind it, so they cover the sphere
+    (center, radius) from outside.  The cameras must share one res."""
+    if not cameras:
+        raise ValueError("at least one camera required")
+    res = {int(cam.res) for cam in cameras}
+    if len(res) > 1:
+        raise ValueError(f"cameras of one scan must share one res, got {sorted(res)}")
+    d = np.array([cam.direction for cam in cameras], dtype=np.float64)
+    d = d / np.sqrt((d * d).sum(axis=1, keepdims=True))
+    # orthonormal basis perpendicular to each ray direction
+    up = np.where(np.abs(d[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    bu = np.column_stack(_cross(d.T, up.T))
+    bu /= np.sqrt((bu * bu).sum(axis=1, keepdims=True))
+    bv = np.column_stack(_cross(d.T, bu.T))
+    span = np.linspace(-1.05 * radius, 1.05 * radius, res.pop())
+    return RayGrid(center - d * (2.0 * radius), d, bu, bv, span)
 
 
 def cube_corner_cameras(res: int = 48) -> list:
@@ -288,7 +300,9 @@ class ScanError(ValueError):
     pass
 
 
-# Ray-triangle pairs per block: about 256 KiB per float64 buffer.
+# (Camera, triangle, ray) triples per block: 256 KiB per float64 buffer, and
+# 4 MiB for the 16 rows of per-pair data the triples gather.  A chair5 scan
+# at scan_resolution 32 tests about 13,000 triples over its eight cameras.
 _BLOCK_ELEMS = 1 << 15
 # Pad of a projected triangle box, per unit of scene scale times the
 # triangle's L**2 / |det|; see _first_hits.
@@ -308,17 +322,19 @@ def _cross(a, b) -> tuple:
 
 
 def _first_hits(rays: RayGrid, tris: np.ndarray) -> np.ndarray:
-    """Nearest ray-triangle intersection distance per ray (inf if none).
+    """Nearest ray-triangle intersection distance per camera and ray, as a
+    (cameras, res * res) array (inf where a ray hits nothing).
 
-    Moller-Trumbore on only the (ray, triangle) pairs that can hit.  A ray
-    hits a triangle only inside the triangle's projection onto the (bu, bv)
-    plane, so each triangle with |det| > 1e-12 (no other ever hits) is
-    tested against the rays inside its projected bounding box, padded by
+    Moller-Trumbore on only the (camera, triangle, ray) triples that can
+    hit.  A ray hits a triangle only inside the triangle's projection onto
+    its camera's (bu, bv) plane, so each (camera, triangle) pair with
+    |det| > 1e-12 (no other ever hits) is tested against the camera's rays
+    inside the triangle's projected bounding box, padded by
 
         pad = 1e-6 * scale * L**2 / |det|,
 
-    where scale is the largest grid coordinate plus the largest vertex
-    coordinate about the grid's base (it bounds |tvec|), L is the
+    where scale is the largest grid coordinate plus the camera's largest
+    vertex coordinate about its base (it bounds |tvec|), L is the
     triangle's longest edge and |det| twice its projected area.  The pad is
     safe because it covers everything that lets the hit test accept a ray
     outside the box:
@@ -333,85 +349,92 @@ def _first_hits(rays: RayGrid, tris: np.ndarray) -> np.ndarray:
     1.1e-6 * scale, eight orders of magnitude above these; a triangle seen
     nearly edge-on gets a wider pad, up to the whole grid.
 
-    Each kept pair runs the arithmetic of the full rays x triangles grid:
-    qvec = tvec x e1 uses np.cross's formula, every dot product sums in
-    _dot3's order, and each ray keeps the exact minimum of its hits, so the
-    result is bit-identical to testing every pair.  The pairs are listed
-    triangle by triangle and run in blocks of _BLOCK_ELEMS.
+    Each kept triple runs the arithmetic of the full rays x triangles grid
+    of its camera: qvec = tvec x e1 uses np.cross's formula, every dot
+    product sums in _dot3's order, and each ray keeps the exact minimum of
+    its hits, so the result is bit-identical to testing every pair.  The
+    triples are listed camera by camera, then triangle by triangle, and run
+    in blocks of _BLOCK_ELEMS.
     """
-    d, span = rays.direction, rays.span
-    res = span.shape[0]
-    nearest = np.full(res * res, np.inf)
+    span = rays.span
+    cams, res = rays.direction.shape[0], span.shape[0]
+    nearest = np.full(cams * res * res, np.inf)
     corners = tris.transpose(1, 2, 0)  # (corner, coordinate, triangle)
     v0 = corners[0]
     e1 = corners[1] - v0
     e2 = corners[2] - v0
-    pvec = _cross(d, e2)
-    det = _dot3(e1, pvec)
+    d = rays.direction.T[:, :, None]  # (coordinate, camera, 1)
+    pvec = _cross(d, e2[:, None])  # three (camera, triangle) arrays
+    det = _dot3(e1[:, None], pvec)
     keep = np.abs(det) > 1e-12
     if not keep.any():
-        return nearest
-    # Rows v0, pvec, e1, e2 (three each) and det; one column per kept triangle.
-    per_tri = np.vstack([v0, *pvec, e1, e2, det])[:, keep]
-    e1, e2, det = per_tri[6:9], per_tri[9:12], per_tri[12]
-    rel = corners[:, :, keep] - rays.base[:, None]
-    scale = np.abs(span).max() + np.abs(rel).max()
+        return nearest.reshape(cams, res * res)
+    # Vertices about each camera's base: (coordinate, corner, camera, triangle).
+    rel = tris.transpose(2, 1, 0)[:, :, None] - rays.base.T[:, None, :, None]
+    reach = np.where(keep, np.abs(rel).max(axis=(0, 1)), 0.0).max(axis=1)
+    scale = np.abs(span).max() + reach  # per camera
+    # (axis, corner, camera, triangle)
+    proj = np.stack([_dot3(rel, w.T[:, None, :, None]) for w in (rays.bu, rays.bv)])
+    # One column per kept (camera, triangle) pair, camera by camera.
+    col = np.flatnonzero(keep)
+    cam, tri = np.divmod(col, tris.shape[0])
     longest2 = np.maximum.reduce([(e * e).sum(axis=0) for e in (e1, e2, e2 - e1)])
-    pad = _PAD * scale * longest2 / np.abs(det)
-    proj = np.stack([rays.bu, rays.bv]) @ rel  # (corner, axis, triangle)
-    # Each triangle meets rays i0 <= i < i1 along bu and j0 <= j < j1 along bv.
-    i0, j0 = np.searchsorted(span, proj.min(axis=0) - pad, "left")
-    i1, j1 = np.searchsorted(span, proj.max(axis=0) + pad, "right")
-    per_tri[12] = 1.0 / det
+    det = det.ravel()[col]
+    pad = _PAD * scale[cam] * longest2[tri] / np.abs(det)
+    proj = proj.reshape(2, 3, -1)[:, :, col]  # (axis, corner, pair)
+    # Each pair meets rays i0 <= i < i1 along bu and j0 <= j < j1 along bv.
+    i0, j0 = np.searchsorted(span, proj.min(axis=1) - pad, "left")
+    i1, j1 = np.searchsorted(span, proj.max(axis=1) + pad, "right")
+    # Rows v0, pvec, e1, e2, direction (three each) and 1 / det.
+    per_pair = np.vstack([
+        v0[:, tri], np.stack(pvec).reshape(3, -1)[:, col], e1[:, tri], e2[:, tri],
+        rays.direction.T[:, cam], 1.0 / det,
+    ])
     width = j1 - j0
     count = (i1 - i0) * width
     end = np.cumsum(count)
     start = end - count
-    first = i0 * res + j0
-    origins = np.ascontiguousarray(rays.origins.T)
+    first = (cam * res + i0) * res + j0
+    origins = np.ascontiguousarray(rays.origins.reshape(-1, 3).T)
     total = int(end[-1])
     tol = 1e-12
     for lo in range(0, total, _BLOCK_ELEMS):
-        pair = np.arange(lo, min(lo + _BLOCK_ELEMS, total))
-        tri = np.searchsorted(end, pair, "right")
-        di, dj = np.divmod(pair - start[tri], width[tri])
-        ray = first[tri] + di * res + dj
-        g = np.take(per_tri, tri, axis=1)
-        inv_det = g[12]
+        triple = np.arange(lo, min(lo + _BLOCK_ELEMS, total))
+        pair = np.searchsorted(end, triple, "right")
+        di, dj = np.divmod(triple - start[pair], width[pair])
+        ray = first[pair] + di * res + dj
+        g = np.take(per_pair, pair, axis=1)
+        inv_det = g[15]
         tvec = np.take(origins, ray, axis=1) - g[0:3]
         u = _dot3(tvec, g[3:6]) * inv_det
         qvec = _cross(tvec, g[6:9])
-        v = _dot3(qvec, d) * inv_det
+        v = _dot3(qvec, g[12:15]) * inv_det
         t = _dot3(qvec, g[9:12]) * inv_det
         hit = (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > 1e-9)
         np.minimum.at(nearest, ray[hit], t[hit])
-    return nearest
+    return nearest.reshape(cams, res * res)
 
 
 def virtual_scan(mesh: Mesh, cameras: list) -> PointSet:
-    """Union of first-hit points over all cameras.
+    """Union of first-hit points over all cameras, camera by camera.
 
     Each camera shoots a res x res grid of parallel rays covering the mesh
     bounding sphere from outside; only the nearest surface along each ray is
     kept, so self-occluded backsides are absent, as with a real scanner.
+    All cameras are cast in one pass, so they must share one res.
     """
-    if not cameras:
-        raise ValueError("at least one camera required")
     tris = mesh.triangles()
     center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
     radius = float(np.sqrt(((mesh.vertices - center) ** 2).sum(axis=1).max()))
     if radius == 0.0:
         raise ScanError("degenerate mesh")
-    clouds = []
-    for cam in cameras:
-        rays = cam.rays(center, radius)
-        t = _first_hits(rays, tris)
-        mask = np.isfinite(t)
-        if mask.any():
-            clouds.append(rays.origins[mask] + t[mask, None] * rays.direction)
-    if not clouds:
+    rays = camera_rays(cameras, center, radius)
+    t = _first_hits(rays, tris)
+    hit = np.isfinite(t)
+    if not hit.any():
         raise ScanError("shape outside all frusta")
-    return PointSet(np.concatenate(clouds))
+    cam = np.nonzero(hit)[0]
+    return PointSet(rays.origins[hit] + t[hit][:, None] * rays.direction[cam])
 
 
 def generate_shape(family: str, params: dict | None, n: int, rng: Rng, scan_res: int = 48):

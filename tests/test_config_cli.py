@@ -478,6 +478,33 @@ def test_complete_rejects_gan_checkpoint_without_mode_or_generator(
     assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without("networks"), "missing entry networks"),
+    (lambda doc: {**doc, "networks": list(doc["networks"])},
+     "entry networks is not a dict of networks"),
+    (lambda doc: {**doc, "extra": "default"}, "entry extra is not a dict"),
+    (_without("kind"), "missing entry kind"),
+    (_without("seed"), "missing entry seed"),
+    (lambda doc: [doc], "unrecognized format None"),
+], ids=["no-networks", "networks-list", "extra-string", "no-kind", "no-seed", "not-a-dict"])
+def test_complete_rejects_checkpoint_without_top_level_entries(
+    micro_run, tmp_path, capsys, edit, message
+):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    ckpt = clone / "checkpoints" / "gan_default.json"
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    capsys.readouterr()
+    assert main(["complete", "--run", str(clone), "--config", str(micro_run["cfg"]),
+                 "--input", str(clone / "dataset" / "partial_test"),
+                 "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
 def test_eval_name_mismatch_is_reported(micro_run, tmp_path, capsys):
     run = micro_run["run"]
     renamed = tmp_path / "renamed"

@@ -4,9 +4,10 @@ and what perfbench/workloads.py passes into scanmend.
 The tracer wraps functions and methods of scanmend at run time and reads
 their arguments by position: a layer's train flag as the third argument of
 its forward, a train_gan call's mode as the third, the clouds of a
-soft_hausdorff_loss call as its first two.  The workloads pass keywords that
-nothing else in the project uses.  A renamed function, a deleted keyword or
-a reordered parameter would break only the benchmark's own smoke test, so
+soft_hausdorff_loss call as its first two, and the mesh and cameras of a
+virtual_scan call, whose faces and camera res it counts.  The workloads
+pass keywords that nothing else in the project uses.  A renamed function,
+a deleted keyword or a reordered parameter would break only the benchmark's own smoke test, so
 this Tier-1 test pins what the benchmark reads and passes.
 """
 
@@ -29,6 +30,16 @@ def _params(fn) -> list:
 
 def _positional(fn) -> list:
     return [p.name for p in _params(fn) if p.kind == POS]
+
+
+def _load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tensor_backward_takes_only_an_optional_upstream():
@@ -66,6 +77,32 @@ def test_train_gan_takes_clouds_mode_and_config_by_position_and_the_rest_by_keyw
     assert all(p.kind == inspect.Parameter.KEYWORD_ONLY for p in params[4:])
 
 
+def test_scan_and_fps_take_what_the_tracer_reads_by_position(monkeypatch):
+    # scan_counts reads virtual_scan's mesh and cameras by position, then
+    # each camera's res and the mesh's faces: the synth.rays,
+    # synth.ray_tri_tests and synth.hit_ratio counters come from them.
+    assert _positional(synth.virtual_scan) == ["mesh", "cameras"]
+    assert _positional(pointset.farthest_point_indices) == ["points", "m", "start"]
+    tracer = _load_perfbench(monkeypatch, "tracer").Tracer()
+    mesh = synth.build_mesh("box", {"hx": 0.5, "hy": 0.6, "hz": 0.7})
+    cams = synth.cube_corner_cameras(6)
+    tracer.install()
+    try:
+        tracer.begin_chunk()
+        dense = synth.virtual_scan(mesh, cams)
+        pointset.farthest_point_indices(dense.points, 4, 0)
+        tracer.end_chunk()
+    finally:
+        tracer.uninstall()
+    (stats,) = tracer.chunk_stats()
+    assert dict(stats.counts) == {
+        "synth.rays": 8 * 6 * 6,
+        "synth.ray_tri_tests": 8 * 6 * 6 * 12,
+        "synth.hits": dense.n,
+    }
+    assert stats.calls["synth.virtual_scan"] == stats.calls["pointset.fps"] == 1
+
+
 def test_every_traced_name_exists():
     traced = {
         synth: ("make_dataset", "save_dataset", "load_dataset", "generate_shape",
@@ -92,11 +129,7 @@ def test_every_traced_name_exists():
 
 
 def test_workloads_build_their_configs_and_find_the_keywords_they_pass(monkeypatch):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _load_perfbench(monkeypatch, "workloads")
     assert workloads.gan_config(1).epochs == 1
     assert workloads.ae_config(1).epochs == 1
     assert "gan_loss" in inspect.signature(gan.save_gan).parameters

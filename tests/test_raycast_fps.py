@@ -1,19 +1,21 @@
 """Ray casting and farthest-point sampling against their broadcast forms.
 
-`synth._first_hits` tests only the ray-triangle pairs whose projected
-boxes meet, and `pointset.farthest_point_indices` works one coordinate at a
-time in reused buffers.  The references below are the (rays, tris, 3) and
-(n, 3) broadcast forms over every pair; both must agree bit for bit,
-because every synthesized dataset is built from them.
+`synth._first_hits` casts every camera of a grid in one pass and tests
+only the ray-triangle pairs whose projected boxes meet, and
+`pointset.farthest_point_indices` takes each pick's distances from cdist.
+The references below are the (rays, tris, 3) broadcast form for one camera
+and the (n, 3) form over every pair; both must agree bit for bit, because
+every synthesized dataset is built from them.
 """
 
 import hashlib
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scanmend import synth
@@ -51,10 +53,19 @@ def reference_fps(points, m, start):
 
 
 def _assert_hits_match(rays, tris):
+    """_first_hits over every camera of `rays`, checked camera by camera."""
     got = synth._first_hits(rays, tris)
-    want = reference_first_hits(rays.origins, rays.direction, tris)
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == (rays.direction.shape[0], rays.span.shape[0] ** 2)
+    for k, hits in enumerate(got):
+        want = reference_first_hits(rays.origins[k], rays.direction[k], tris)
+        assert hits.tobytes() == want.tobytes()
     return got
+
+
+def _view(rays, k=0):
+    """Camera k of a ray grid, with one vector per field."""
+    return SimpleNamespace(base=rays.base[k], direction=rays.direction[k], bu=rays.bu[k],
+                           bv=rays.bv[k], span=rays.span, origins=rays.origins[k])
 
 
 _AXES = [np.eye(3)[i] * s for i in range(3) for s in (1.0, -1.0)]
@@ -77,7 +88,7 @@ def _direction(draw):
 @st.composite
 def _camera_grid(draw):
     cam = synth.Camera(direction=tuple(draw(_direction())), res=draw(st.integers(1, 9)))
-    return cam.rays(draw(_vec), draw(st.floats(0.1, 3.0)))
+    return synth.camera_rays([cam], draw(_vec), draw(st.floats(0.1, 3.0)))
 
 
 @st.composite
@@ -136,11 +147,16 @@ def _triangle(draw, rays):
 @st.composite
 def _scene(draw):
     rays = draw(_camera_grid())
-    tris = np.stack(draw(st.lists(_triangle(rays), min_size=1, max_size=6)))
+    tris = np.stack(draw(st.lists(_triangle(_view(rays)), min_size=1, max_size=6)))
+    return rays, draw(_maybe_fan(tris))
+
+
+@st.composite
+def _maybe_fan(draw, tris):
     if draw(st.booleans()):  # a fan sharing vertex 0 and its edges
         hub = tris[0, 0]
         tris = np.concatenate([tris, np.stack([np.stack([hub, t[1], t[2]]) for t in tris])])
-    return rays, tris
+    return tris
 
 
 @settings(max_examples=400, deadline=None)
@@ -151,11 +167,76 @@ def test_first_hits_bit_identical_to_broadcast_form(scene, block_elems):
         _assert_hits_match(*scene)
 
 
+def _det(direction, tris):
+    """The hit test's det per triangle, as the reference computes it."""
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    return (e1 * np.cross(direction[None, :], e2)).sum(axis=1)
+
+
+def _not_along(axis):
+    return lambda d: np.abs(np.cross(d, axis)).max() > 1e-3
+
+
+@st.composite
+def _multi_scene(draw):
+    """2-8 cameras of one res with different directions around one sphere.
+
+    "mixed": triangles drawn about random cameras of the grid.  "culled":
+    camera 0 looks along an axis that every triangle's plane contains, so
+    its det is exactly 0 for every triangle, while the other cameras keep
+    theirs.  "wall": camera 0 looks at a triangle that covers its whole
+    grid, which lies behind camera 1, looking the other way; camera 1 keeps
+    the triangle but hits nothing.
+    """
+    kind = draw(st.sampled_from(["mixed", "culled", "wall"]))
+    first = draw(st.sampled_from(_AXES) if kind == "culled" else _direction())
+    others = _direction().filter(_not_along(first))
+    dirs = [first] + draw(st.lists(others, min_size=1, max_size=7,
+                                   unique_by=lambda d: tuple(d.tolist())))
+    if kind == "wall":
+        dirs[1] = -first
+    res = draw(st.integers(1, 9))
+    center, radius = draw(_vec), draw(st.floats(0.1, 3.0))
+    rays = synth.camera_rays([synth.Camera(tuple(d), res) for d in dirs], center, radius)
+    cam_views = st.integers(0, len(dirs) - 1).map(lambda k: _view(rays, k))
+    if kind == "wall":
+        r, size = _view(rays), 2.1 * radius
+        wall = [r.base + size * (a * r.bu + b * r.bv) + 5.0 * radius * r.direction
+                for a, b in [(-1.0, -1.0), (3.0, -1.0), (-1.0, 3.0)]]
+        return rays, np.stack(wall)[None], kind
+    if kind == "culled":
+        tris = []
+        for _ in range(draw(st.integers(1, 6))):
+            v0, v1 = (draw(_point(draw(cam_views))) for _ in range(2))
+            tris.append(np.stack([v0, v1, v0 + draw(st.floats(0.1, 2.0)) * first]))
+        return rays, np.stack(tris), kind
+    tris = np.stack([draw(_triangle(draw(cam_views))) for _ in range(draw(st.integers(1, 6)))])
+    return rays, draw(_maybe_fan(tris)), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=_multi_scene(), block_elems=st.sampled_from([1, 7, 64, 500, synth._BLOCK_ELEMS]))
+def test_first_hits_of_stacked_cameras_match_each_camera(scene, block_elems):
+    # Small block sizes put block boundaries between and inside cameras.
+    rays, tris, kind = scene
+    if kind == "culled":
+        assert (np.abs(_det(rays.direction[0], tris)) <= 1e-12).all()
+        assume(all((np.abs(_det(d, tris)) > 1e-12).any() for d in rays.direction[1:]))
+    with mock.patch.object(synth, "_BLOCK_ELEMS", block_elems):
+        hits = _assert_hits_match(rays, tris)
+    if kind == "culled":
+        assert np.isinf(hits[0]).all()
+    if kind == "wall":
+        assert np.isfinite(hits[0]).all()
+        assert (np.abs(_det(rays.direction[1], tris)) > 1e-12).all()
+        assert np.isinf(hits[1]).all()
+
+
 def _axis_grid(span):
     """Rays along -z from z = 1 through (span[i], span[j], 0)."""
     ex, ey = np.eye(3)[:2]
-    return synth.RayGrid(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), ex, ey,
-                         np.asarray(span, dtype=np.float64))
+    return synth.RayGrid(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]), ex[None],
+                         ey[None], np.asarray(span, dtype=np.float64))
 
 
 def test_first_hits_rays_through_shared_vertex_and_edge_hit():
@@ -179,8 +260,8 @@ def test_first_hits_rays_along_box_edges():
     assert np.isfinite(t[2:7, 2:7]).all()
     assert np.isinf(np.delete(np.delete(t, range(2, 7), 0), range(2, 7), 1)).all()
     for res in (7, 9, 17, 33):
-        for cam in synth.cube_corner_cameras(res):
-            _assert_hits_match(cam.rays(np.zeros(3), 0.5 / 1.05), mesh.triangles())
+        cams = synth.cube_corner_cameras(res)
+        _assert_hits_match(synth.camera_rays(cams, np.zeros(3), 0.5 / 1.05), mesh.triangles())
 
 
 def test_first_hits_nearly_edge_on_sliver():
@@ -193,11 +274,13 @@ def test_first_hits_nearly_edge_on_sliver():
     beyond_tip = 0
     for _ in range(300):
         d = rng.normal(size=3)
-        rays = synth.Camera(tuple(d / np.sqrt((d * d).sum())), res=3).rays(np.zeros(3), 1.0)
-        v0 = rays.base - rays.bv + 2.0 * rays.direction
-        v2 = rays.base + (rays.span[2] - 10 ** rng.uniform(-7, -3)) * rays.bv + 2.0 * rays.direction
-        v1 = v0 + 10 ** rng.uniform(-12.3, -11.5) * rays.bu + 2.0 * rays.direction
-        t = _assert_hits_match(rays, np.stack([v0, v1, v2])[None])
+        cam = synth.Camera(tuple(d / np.sqrt((d * d).sum())), res=3)
+        rays = synth.camera_rays([cam], np.zeros(3), 1.0)
+        r = _view(rays)
+        v0 = r.base - r.bv + 2.0 * r.direction
+        v2 = r.base + (r.span[2] - 10 ** rng.uniform(-7, -3)) * r.bv + 2.0 * r.direction
+        v1 = v0 + 10 ** rng.uniform(-12.3, -11.5) * r.bu + 2.0 * r.direction
+        t = _assert_hits_match(rays, np.stack([v0, v1, v2])[None])[0]
         beyond_tip += bool(np.isfinite(t[1 * 3 + 2]))
     assert beyond_tip > 0
 
@@ -205,13 +288,13 @@ def test_first_hits_nearly_edge_on_sliver():
 def _camera_rays(mesh, res):
     center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
     radius = float(np.sqrt(((mesh.vertices - center) ** 2).sum(axis=1).max()))
-    return [cam.rays(center, radius) for cam in synth.cube_corner_cameras(res)]
+    return synth.camera_rays(synth.cube_corner_cameras(res), center, radius)
 
 
 def test_first_hits_every_family_at_scan_resolution():
     for i, family in enumerate(synth.FAMILIES):
         mesh = synth.build_mesh(family, synth.sample_params(family, Rng(40 + i)))
-        hits = [_assert_hits_match(rays, mesh.triangles()) for rays in _camera_rays(mesh, 32)]
+        hits = _assert_hits_match(_camera_rays(mesh, 32), mesh.triangles())
         assert all(np.isfinite(t).any() for t in hits)
 
 
@@ -220,8 +303,7 @@ def test_scan_res_one_and_two():
     # square around the bounding sphere, so none can hit the mesh.
     mesh = synth.build_mesh("chair5", synth.sample_params("chair5", Rng(3)))
     for res in (1, 2):
-        for rays in _camera_rays(mesh, res):
-            assert np.isinf(_assert_hits_match(rays, mesh.triangles())).all()
+        assert np.isinf(_assert_hits_match(_camera_rays(mesh, res), mesh.triangles())).all()
         with pytest.raises(synth.ScanError, match="outside all frusta"):
             synth.virtual_scan(mesh, synth.cube_corner_cameras(res))
     assert synth.virtual_scan(mesh, synth.cube_corner_cameras(3)).n > 0

@@ -100,6 +100,15 @@ def test_scan_miss_and_degenerate_raise():
         virtual_scan(flat, [])
 
 
+def test_scan_rejects_cameras_of_different_res():
+    # All cameras of a scan are cast as one grid, which has one span.
+    mesh = build_mesh("box", {"hx": 0.5, "hy": 0.5, "hz": 0.5})
+    cams = [Camera(direction=(0.0, 0.0, -1.0), res=8), Camera(direction=(1.0, 0.0, 0.0), res=9),
+            Camera(direction=(0.0, 1.0, 0.0), res=8)]
+    with pytest.raises(ValueError, match=r"^cameras of one scan must share one res, got \[8, 9\]$"):
+        virtual_scan(mesh, cams)
+
+
 @pytest.mark.parametrize("res", [0, -3, 1.5, 2.0, "4", True, None])
 def test_camera_rejects_bad_res(res):
     with pytest.raises(ValueError, match=r"^camera res must be an int >= 1, got .*$"):
