@@ -21,7 +21,7 @@ statistics only, so a trained autoencoder is frozen for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,8 +57,9 @@ class AutoencoderSpec:
     linear: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"n and k must be positive, got n={self.n} k={self.k}")
+        counts = all(type(v) is int and v > 0 for v in (self.n, self.k))
+        if not counts or type(self.linear) is not bool:
+            raise ValueError(f"n and k must be positive ints and linear a bool, got {self}")
 
     @property
     def encoder_widths(self) -> tuple:
@@ -71,13 +72,6 @@ class AutoencoderSpec:
         if self.linear:
             return (3 * self.n,)
         return DECODER_HIDDEN + (3 * self.n,)
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "linear": self.linear}
-
-    @staticmethod
-    def from_dict(d: dict) -> "AutoencoderSpec":
-        return AutoencoderSpec(n=int(d["n"]), k=int(d["k"]), linear=bool(d.get("linear", False)))
 
 
 def _build_encoder(spec: AutoencoderSpec, rng: Rng) -> Network:
@@ -103,13 +97,9 @@ class Autoencoder:
         self.encoder = _build_encoder(spec, rng)
         self.decoder = dense_stack(spec.k, spec.decoder_widths, rng, "decoder")
 
-    @classmethod
-    def from_networks(cls, spec: AutoencoderSpec, encoder: Network, decoder: Network):
-        ae = cls.__new__(cls)
-        ae.spec = spec
-        ae.encoder = encoder
-        ae.decoder = decoder
-        return ae
+    def networks(self) -> dict[str, Network]:
+        """The networks by their checkpoint names."""
+        return {"encoder": self.encoder, "decoder": self.decoder}
 
     def forward_batch(self, x: Tensor, *, train: bool) -> Tensor:
         """(batch, n, 3) -> reconstructed (batch, n, 3), differentiable, with
@@ -223,15 +213,22 @@ def reconstruction_emd(ae: Autoencoder, clouds) -> float:
 def save_autoencoder(path, ae: Autoencoder, *, seed: int) -> str:
     return save_bundle(
         path,
-        {"encoder": ae.encoder, "decoder": ae.decoder},
+        ae.networks(),
         kind="autoencoder",
         seed=seed,
-        extra={"spec": ae.spec.as_dict()},
+        extra={"spec": asdict(ae.spec)},
     )
 
 
 def load_autoencoder(path) -> tuple[Autoencoder, Bundle]:
-    bundle = load_bundle(path, expect_kind="autoencoder")
-    spec = AutoencoderSpec.from_dict(bundle.extra["spec"])
-    ae = Autoencoder.from_networks(spec, bundle.nets["encoder"], bundle.nets["decoder"])
+    """The autoencoder that extra.spec describes, filled from the checkpoint
+    at `path`, and its bundle; CheckpointError naming the file otherwise."""
+    ae = None
+
+    def build(spec) -> dict[str, Network]:
+        nonlocal ae
+        ae = Autoencoder(AutoencoderSpec(**spec), Rng(0))  # weights are overwritten
+        return ae.networks()
+
+    bundle = load_bundle(path, "spec", build, expect_kind="autoencoder")
     return ae, bundle

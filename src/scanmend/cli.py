@@ -179,21 +179,25 @@ def _load_ae(paths: dict, target: str):
     return ae, bundle.content_hash
 
 
+def _load_aes(paths: dict, mode: str) -> dict:
+    """The (autoencoder, checkpoint hash) pairs of the targets `mode` uses."""
+    uses_partial = mode_settings(mode).latent_source == "partial"
+    return {t: _load_ae(paths, t) for t in (("clean", "partial") if uses_partial else ("clean",))}
+
+
 def _load_pipeline(paths: dict, mode: str):
     """GAN checkpoint + the autoencoders it was trained against."""
     gan_file = _require_checkpoint(_gan_path(paths, mode), f"run train-gan --mode {mode} first")
     bundle = load_gan(gan_file)
-    uses_partial = mode_settings(bundle.extra["mode"]).latent_source == "partial"
-    aes = {}
-    for target in ("clean", "partial") if uses_partial else ("clean",):
-        aes[target], digest = _load_ae(paths, target)
+    aes = _load_aes(paths, bundle.extra["mode"])
+    for target, (_, digest) in aes.items():
         expect = bundle.extra.get(f"{target}_ae_hash")
         if expect and expect != digest:
             raise CliError(
                 f"checkpoint mismatch: {gan_file} was trained against a different"
                 f" {target} autoencoder than {_ae_path(paths, target)}"
             )
-    return assemble_pipeline(bundle, aes["clean"], aes.get("partial"))
+    return assemble_pipeline(bundle, *(ae for ae, _ in aes.values()))
 
 
 def _read_ply_dir(d: str) -> tuple:
@@ -309,10 +313,7 @@ def cmd_train_gan(cfg: dict, run_dir: str, mode: str | None = None) -> int:
     paths = _paths(cfg, run_dir)
     dataset = _load_dataset(paths)
     mode = TrainingMode(mode or cfg["gan"]["mode"])
-    aes = {"clean": _load_ae(paths, "clean")}
-    if mode_settings(mode).latent_source == "partial":
-        aes["partial"] = _load_ae(paths, "partial")
-    result, out = _train_gan_mode(cfg, paths, dataset, mode, aes)
+    result, out = _train_gan_mode(cfg, paths, dataset, mode, _load_aes(paths, mode))
     if not result.curves:
         print(f"gan [{mode.value}]: diverged in epoch 1, kept the initial parameters, saved {out}")
         return 0

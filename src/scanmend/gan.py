@@ -47,6 +47,10 @@ class GanSpec:
 
     k: int
 
+    def __post_init__(self):
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be a positive int, got {self.k!r}")
+
     @property
     def generator_widths(self) -> tuple:
         return (GENERATOR_HIDDEN, self.k)
@@ -412,15 +416,18 @@ def save_gan(
     )
 
 
+def _gan_networks(k) -> dict[str, Network]:
+    spec, rng = GanSpec(k), Rng(0)  # the initial weights are overwritten
+    return dict(generator=build_generator(spec, rng), discriminator=build_discriminator(spec, rng))
+
+
 def load_gan(path) -> Bundle:
-    """A latent-GAN bundle whose extra.mode is a TrainingMode value and which
-    holds a generator; CheckpointError naming the file otherwise."""
-    bundle = load_bundle(path, expect_kind="latent-gan")
+    """A latent-GAN bundle, its generator and discriminator built from extra.k,
+    whose extra.mode is a TrainingMode value; CheckpointError otherwise."""
+    bundle = load_bundle(path, "k", _gan_networks, expect_kind="latent-gan")
     mode = bundle.extra.get("mode")
     if mode not in [m.value for m in TrainingMode]:
         raise CheckpointError(f"{path}: entry extra.mode is {mode!r}, not a training mode")
-    if "generator" not in bundle.nets:
-        raise CheckpointError(f"{path}: missing network 'generator'")
     return bundle
 
 

@@ -2,15 +2,15 @@
 
 A checkpoint bundle holds one or more named networks: layer specs, parameter
 arrays (base64 of little-endian float64), batchnorm running statistics, the
-RNG seed, and free-form metadata.  Loading checks that each layer spec holds
-the keys its type needs, verifies the stored architecture hash against the
-specs and decodes every parameter and running statistic to the shape its
-layer needs; anything that is missing, unreadable or does not match is
-rejected with a CheckpointError naming the file, the network and
-the entry, rather than silently reinterpreted.  Bundles reference other
-checkpoint files by the sha256 of their bytes.  Format v1 also has an
-"optimizers" section; the writer always leaves it empty and the loader
-ignores it.
+RNG seed, and free-form metadata (extra).  Loading builds no layer from the
+stored specs: the caller builds each network from the spec that extra keeps,
+with the code that trains it, and its layer specs and architecture hash must
+equal the stored ones.  Every parameter and running statistic is decoded to
+the shape its layer needs.  Anything missing, unreadable or mismatched is
+rejected with one CheckpointError naming the file, the network and the entry.
+Bundles reference other checkpoint files by the sha256 of their bytes.
+Format v1 also has an "optimizers" section; the writer always leaves it
+empty and the loader ignores it.
 """
 
 from __future__ import annotations
@@ -23,18 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fileio import write_atomic
-from ..rng import Rng
-from .layers import INIT_SCHEMES, SPEC_KEYS, BatchNorm, Network, build_layer
+from .layers import BatchNorm, Network
 
 CHECKPOINT_FORMAT = "scanmend-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    pass
-
-
-class ArchitectureMismatchError(CheckpointError):
     pass
 
 
@@ -68,21 +63,6 @@ def _entry(d, key: str, where: str, prefix: str = ""):
     if not isinstance(d, dict) or key not in d:
         raise CheckpointError(f"{where}: missing entry {prefix}{key}")
     return d[key]
-
-
-def _layer_spec(spec, i: int, where: str) -> dict:
-    """Layer spec i, which must hold the keys its type needs with usable
-    values; CheckpointError naming `where` and the entry otherwise."""
-    prefix = f"architecture.{i}."
-    kind = _entry(spec, "type", where, prefix)
-    if not isinstance(kind, str) or kind not in SPEC_KEYS:
-        raise CheckpointError(f"{where}: entry {prefix}type is {kind!r}, not a layer type")
-    for key in SPEC_KEYS[kind]:
-        value = _entry(spec, key, where, prefix)
-        ok = value in INIT_SCHEMES if key == "init" else type(value) is int and value > 0
-        if not ok:
-            raise CheckpointError(f"{where}: entry {prefix}{key} is {value!r}")
-    return spec
 
 
 def _network_section(net: Network) -> dict:
@@ -139,7 +119,10 @@ class Bundle:
     content_hash: str = ""
 
 
-def load_bundle(path, expect_kind: str | None = None) -> Bundle:
+def load_bundle(path, spec_key: str, build, expect_kind: str | None = None) -> Bundle:
+    """The bundle at `path`, its networks the ones that build(extra[spec_key])
+    returns by name (TypeError or ValueError if the spec is bad), each filled
+    from the stored section whose layer specs and hash equal its own."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
@@ -161,21 +144,20 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: entry extra is not a dict")
-    nets = {}
-    for name, section in networks.items():
+    spec = _entry(extra, spec_key, path, "extra.")
+    try:
+        nets = build(spec)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad entry extra.{spec_key} ({e})") from e
+    for name, net in nets.items():
         where = f"{path}: network {name!r}"
+        if name not in networks:
+            raise CheckpointError(f"{path}: missing network {name!r}")
+        section = networks[name]
         specs = _entry(section, "architecture", where)
-        if not isinstance(specs, list):
-            raise CheckpointError(f"{where}: entry architecture is not a list of layer specs")
         stored_hash = _entry(section, "architecture_hash", where)
-        rng = Rng(0)  # init values are overwritten below
-        net = Network(
-            [build_layer(_layer_spec(s, i, where), rng) for i, s in enumerate(specs)], name=name
-        )
-        if net.architecture_hash() != stored_hash:
-            raise ArchitectureMismatchError(
-                f"{path}: architecture hash mismatch for network {name!r}"
-            )
+        if specs != net.layer_specs() or stored_hash != net.architecture_hash():
+            raise CheckpointError(f"{where}: stored architecture does not match extra.{spec_key}")
         for pname, t in net.named_parameters():
             t.data = _decode_array(section, ("params", pname), t.data.shape, where)
         for i, layer in enumerate(net.layers):
@@ -183,7 +165,6 @@ def load_bundle(path, expect_kind: str | None = None) -> Bundle:
                 stats, shape = ("batchnorm", str(i)), (layer.width,)
                 layer.running_mean = _decode_array(section, stats + ("mean",), shape, where)
                 layer.running_var = _decode_array(section, stats + ("var",), shape, where)
-        nets[name] = net
     return Bundle(
         kind=kind,
         seed=seed,

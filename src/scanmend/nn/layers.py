@@ -17,7 +17,10 @@ forward(Tensor(x), train=False).data, bit for bit.  `frozen()` gives a view
 of a network whose parameters are constants (see nn.tensor), to
 differentiate through it without training it.  Initialization is
 seed-controlled: Kaiming-uniform ahead of ReLU, Xavier for final linear
-layers.
+layers.  A layer's spec() record (type and sizes) identifies the
+architecture; checkpoints store the records, and loading compares them with
+those of a network built by the model's own code, so no layer is ever built
+from a record.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .tensor import Tensor, affine, affine_backward
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
-INIT_SCHEMES = ("kaiming", "xavier")  # see _init_weight
 
 
 def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng) -> np.ndarray:
@@ -532,28 +534,3 @@ def dense_stack(n_in: int, widths: tuple, rng: Rng, name: str) -> Network:
     layers.append(Dense(n_in, widths[-1], rng, init="xavier"))
     return Network(layers, name=name)
 
-
-# The keys of each layer type's spec record besides "type", as build_layer reads them.
-SPEC_KEYS = {
-    "dense": ("in", "out", "init"),
-    "pointwise": ("in", "out", "init"),
-    "batchnorm": ("width",),
-    "relu": (),
-    "maxpool": (),
-}
-
-
-def build_layer(spec: dict, rng: Rng):
-    """Construct a layer from its spec record (used by checkpoint load)."""
-    t = spec["type"]
-    if t == "dense":
-        return Dense(spec["in"], spec["out"], rng, spec["init"])
-    if t == "pointwise":
-        return PointwiseDense(spec["in"], spec["out"], rng, spec["init"])
-    if t == "batchnorm":
-        return BatchNorm(spec["width"])
-    if t == "relu":
-        return ReLU()
-    if t == "maxpool":
-        return MaxPool()
-    raise ValueError(f"unknown layer type {t!r}")

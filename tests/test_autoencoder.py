@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from scanmend.autoencoder import (
     save_autoencoder,
     train_ae,
 )
+from scanmend.nn.checkpoint import CheckpointError
 from scanmend.rng import Rng
 
 
@@ -25,7 +28,10 @@ def test_spec_validation_and_widths():
     spec = AutoencoderSpec(n=128, k=16)
     assert spec.encoder_widths == (64, 128, 128, 256, 16)
     assert spec.decoder_widths == (256, 256, 384)
-    assert AutoencoderSpec.from_dict(spec.as_dict()) == spec
+    assert AutoencoderSpec(**asdict(spec)) == spec
+    for bad in ({"n": 16.0, "k": 4}, {"n": 16, "k": True}, {"n": 16, "k": 4, "linear": 1}):
+        with pytest.raises(ValueError, match="positive ints and linear a bool"):
+            AutoencoderSpec(**bad)
 
 
 def test_ae_loss_unit_shift_example():
@@ -139,8 +145,9 @@ def test_train_ae_divergence_raises():
         train_ae(data, spec, AeTrainConfig(lr=1.0, batch_size=4, epochs=5, seed=0))
 
 
-def test_save_load_round_trip(tmp_path):
-    ae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(13))
+@pytest.mark.parametrize("linear", [False, True])
+def test_save_load_round_trip(tmp_path, linear):
+    ae = Autoencoder(AutoencoderSpec(n=16, k=4, linear=linear), Rng(13))
     # move BN stats off init so the round trip covers them
     ae.forward_batch(__import__("scanmend.nn.tensor", fromlist=["Tensor"]).Tensor(
         Rng(14).normal((3, 16, 3))
@@ -150,9 +157,31 @@ def test_save_load_round_trip(tmp_path):
     back, bundle = load_autoencoder(path)
     assert bundle.seed == 5
     assert back.spec == ae.spec
+    assert bundle.nets == {"encoder": back.encoder, "decoder": back.decoder}
     assert np.array_equal(
         back.as_single_network().param_vector(), ae.as_single_network().param_vector()
     )
-    # loaded model reproduces latent codes bit for bit
+    # loaded model reproduces latent codes and reconstructions bit for bit
     clouds = Rng(15).normal((1, 16, 3))
     assert np.array_equal(back.encoder.predict(clouds), ae.encoder.predict(clouds))
+    assert np.array_equal(back.reconstruct(clouds), ae.reconstruct(clouds))
+    # and saves to the same bytes
+    again = tmp_path / "again.json"
+    save_autoencoder(again, back, seed=bundle.seed)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("entry,value,network", [("n", 8, "decoder"), ("k", 5, "encoder")])
+def test_load_rejects_a_spec_the_stored_networks_disagree_with(tmp_path, entry, value, network):
+    # Loaded under n = 8, a decoder that emits 16 points would give clouds
+    # cut to their first 8 points.
+    path = tmp_path / "ae.json"
+    save_autoencoder(path, Autoencoder(AutoencoderSpec(n=16, k=4), Rng(0)), seed=0)
+    doc = json.loads(path.read_text())
+    doc["extra"]["spec"][entry] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as exc:
+        load_autoencoder(path)
+    assert str(exc.value) == (
+        f"{path}: network '{network}': stored architecture does not match extra.spec"
+    )

@@ -451,7 +451,7 @@ def test_complete_rejects_checkpoint_spec_without_init(micro_run, tmp_path, caps
                  "--input", str(clone / "dataset" / "partial_test"),
                  "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ckpt}: network 'encoder': missing entry architecture.0.init\n"
+        f"error: {ckpt}: network 'encoder': stored architecture does not match extra.spec\n"
     )
 
 
@@ -460,7 +460,14 @@ def test_complete_rejects_checkpoint_spec_without_init(micro_run, tmp_path, caps
     (lambda doc: doc["extra"].update(mode="bogus"),
      "entry extra.mode is 'bogus', not a training mode"),
     (lambda doc: doc["networks"].pop("generator"), "missing network 'generator'"),
-], ids=["no-mode", "bogus-mode", "no-generator"])
+    (lambda doc: doc["extra"].pop("k"), "missing entry extra.k"),
+    (lambda doc: doc["extra"].update(k=0), "bad entry extra.k (k must be a positive int, got 0)"),
+    (lambda doc: doc["extra"].update(k="4"),
+     "bad entry extra.k (k must be a positive int, got '4')"),
+    # MICRO's k is 4: a generator built for k = 5 is not the stored one.
+    (lambda doc: doc["extra"].update(k=5),
+     "network 'generator': stored architecture does not match extra.k"),
+], ids=["no-mode", "bogus-mode", "no-generator", "no-k", "zero-k", "string-k", "other-k"])
 def test_complete_rejects_gan_checkpoint_without_mode_or_generator(
     micro_run, tmp_path, capsys, edit, message
 ):
@@ -482,21 +489,41 @@ def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_without("networks"), "missing entry networks"),
-    (lambda doc: {**doc, "networks": list(doc["networks"])},
+def _spec(**entries):
+    """Edit that sets entries of an autoencoder checkpoint's extra.spec."""
+    return lambda doc: {**doc, "extra": {"spec": {**doc["extra"]["spec"], **entries}}}
+
+
+SPEC_VALUES = "n and k must be positive ints and linear a bool, got AutoencoderSpec"
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("gan_default", _without("networks"), "missing entry networks"),
+    ("gan_default", lambda doc: {**doc, "networks": list(doc["networks"])},
      "entry networks is not a dict of networks"),
-    (lambda doc: {**doc, "extra": "default"}, "entry extra is not a dict"),
-    (_without("kind"), "missing entry kind"),
-    (_without("seed"), "missing entry seed"),
-    (lambda doc: [doc], "unrecognized format None"),
-], ids=["no-networks", "networks-list", "extra-string", "no-kind", "no-seed", "not-a-dict"])
+    ("gan_default", lambda doc: {**doc, "extra": "default"}, "entry extra is not a dict"),
+    ("gan_default", _without("kind"), "missing entry kind"),
+    ("gan_default", _without("seed"), "missing entry seed"),
+    ("gan_default", lambda doc: [doc], "unrecognized format None"),
+    ("clean_ae", lambda doc: {**doc, "extra": {}}, "missing entry extra.spec"),
+    ("clean_ae", _spec(n=0), f"bad entry extra.spec ({SPEC_VALUES}(n=0, k=4, linear=False))"),
+    ("clean_ae", _spec(k=4.0),
+     f"bad entry extra.spec ({SPEC_VALUES}(n=16, k=4.0, linear=False))"),
+    ("clean_ae", _spec(n="16"),
+     f"bad entry extra.spec ({SPEC_VALUES}(n='16', k=4, linear=False))"),
+    ("clean_ae", _spec(linear=0),
+     f"bad entry extra.spec ({SPEC_VALUES}(n=16, k=4, linear=0))"),
+    # The stored decoder emits 16 points; one built for 8 is not it.
+    ("clean_ae", _spec(n=8), "network 'decoder': stored architecture does not match extra.spec"),
+    ("clean_ae", _spec(k=5), "network 'encoder': stored architecture does not match extra.spec"),
+], ids=["no-networks", "networks-list", "extra-string", "no-kind", "no-seed", "not-a-dict",
+        "no-spec", "zero-n", "float-k", "string-n", "int-linear", "other-n", "other-k"])
 def test_complete_rejects_checkpoint_without_top_level_entries(
-    micro_run, tmp_path, capsys, edit, message
+    micro_run, tmp_path, capsys, name, edit, message
 ):
     clone = tmp_path / "clone"
     shutil.copytree(micro_run["run"], clone)
-    ckpt = clone / "checkpoints" / "gan_default.json"
+    ckpt = clone / "checkpoints" / f"{name}.json"
     ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
     capsys.readouterr()
     assert main(["complete", "--run", str(clone), "--config", str(micro_run["cfg"]),

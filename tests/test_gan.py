@@ -7,6 +7,7 @@ from scanmend.gan import (
     CompletionPipeline,
     GanSpec,
     GanTrainConfig,
+    GanTrainResult,
     LossWeights,
     TrainingMode,
     assemble_pipeline,
@@ -326,6 +327,11 @@ def test_save_load_round_trip_rebuilds_pipeline(tmp_path):
     rebuilt = assemble_pipeline(bundle, ae)
     probe = Rng(11).normal((3, 16, 3))
     assert np.array_equal(rebuilt.complete_batch(probe), res.pipeline.complete_batch(probe))
+    # The loaded networks save to the same bytes.
+    again = tmp_path / "again.json"
+    loaded = GanTrainResult(rebuilt, bundle.nets["discriminator"], curves=[])
+    save_gan(again, loaded, seed=bundle.seed, clean_ae_hash=bundle.extra["clean_ae_hash"])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_gan_loss_accepts_only_least_squares(tmp_path):
