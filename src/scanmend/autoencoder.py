@@ -74,7 +74,7 @@ class AutoencoderSpec:
         return DECODER_HIDDEN + (3 * self.n,)
 
 
-def _build_encoder(spec: AutoencoderSpec, rng: Rng) -> Network:
+def _build_encoder(spec: AutoencoderSpec, rng: Rng | None) -> Network:
     layers: list = []
     prev = 3
     if spec.linear:
@@ -90,9 +90,10 @@ def _build_encoder(spec: AutoencoderSpec, rng: Rng) -> Network:
 
 
 class Autoencoder:
-    """Encoder + decoder pair."""
+    """Encoder + decoder pair, initialized from rng, or at zero weights when
+    rng is None."""
 
-    def __init__(self, spec: AutoencoderSpec, rng: Rng):
+    def __init__(self, spec: AutoencoderSpec, rng: Rng | None):
         self.spec = spec
         self.encoder = _build_encoder(spec, rng)
         self.decoder = dense_stack(spec.k, spec.decoder_widths, rng, "decoder")
@@ -227,7 +228,7 @@ def load_autoencoder(path) -> tuple[Autoencoder, Bundle]:
 
     def build(spec) -> dict[str, Network]:
         nonlocal ae
-        ae = Autoencoder(AutoencoderSpec(**spec), Rng(0))  # weights are overwritten
+        ae = Autoencoder(AutoencoderSpec(**spec), None)  # zero weights, filled below
         return ae.networks()
 
     bundle = load_bundle(path, "spec", build, expect_kind="autoencoder")

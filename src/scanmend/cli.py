@@ -37,7 +37,7 @@ from .autoencoder import (
     train_ae,
 )
 from .config import SCHEMA, ConfigError, PRESETS, load_config, override_seed, resolve_config
-from .fileio import write_atomic
+from .fileio import remove_temp_files, write_atomic
 from .gan import (
     GanTrainConfig,
     TrainingMode,
@@ -97,7 +97,9 @@ def run_lock(run_dir: str):
     """Exclusive single-owner lock on a run directory for one invocation.
 
     run.lock holds the owner's PID.  A lock whose owner has exited, say
-    after a kill, is taken over with a warning on stderr.
+    after a kill, is taken over with a warning on stderr.  The owner is the
+    only writer under run_dir, so once it holds the lock it removes the temp
+    files that a killed write_atomic left there.
     """
     os.makedirs(run_dir, exist_ok=True)
     lock_path = os.path.join(run_dir, LOCK_NAME)
@@ -125,6 +127,7 @@ def run_lock(run_dir: str):
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
+        remove_temp_files(run_dir)
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -113,11 +113,11 @@ def mode_settings(mode: TrainingMode, tau: float = 0.01) -> ModeSettings:
     return ModeSettings(LossWeights(alpha, beta, recon_kind, tau), recon_target, latent_source)
 
 
-def build_generator(spec: GanSpec, rng: Rng) -> Network:
+def build_generator(spec: GanSpec, rng: Rng | None) -> Network:
     return dense_stack(spec.k, spec.generator_widths, rng, "generator")
 
 
-def build_discriminator(spec: GanSpec, rng: Rng) -> Network:
+def build_discriminator(spec: GanSpec, rng: Rng | None) -> Network:
     return dense_stack(spec.k, spec.discriminator_widths, rng, "discriminator")
 
 
@@ -417,8 +417,8 @@ def save_gan(
 
 
 def _gan_networks(k) -> dict[str, Network]:
-    spec, rng = GanSpec(k), Rng(0)  # the initial weights are overwritten
-    return dict(generator=build_generator(spec, rng), discriminator=build_discriminator(spec, rng))
+    spec = GanSpec(k)  # zero weights, which load_bundle fills
+    return dict(generator=build_generator(spec, None), discriminator=build_discriminator(spec, None))
 
 
 def load_gan(path) -> Bundle:

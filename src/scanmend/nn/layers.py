@@ -17,10 +17,11 @@ forward(Tensor(x), train=False).data, bit for bit.  `frozen()` gives a view
 of a network whose parameters are constants (see nn.tensor), to
 differentiate through it without training it.  Initialization is
 seed-controlled: Kaiming-uniform ahead of ReLU, Xavier for final linear
-layers.  A layer's spec() record (type and sizes) identifies the
-architecture; checkpoints store the records, and loading compares them with
-those of a network built by the model's own code, so no layer is ever built
-from a record.
+layers; a network built with no Rng, to be filled from a checkpoint, starts
+from zero weights and draws nothing.  A layer's spec() record (type and
+sizes) identifies the architecture; checkpoints store the records, and
+loading compares them with those of a network built by the model's own
+code, so no layer is ever built from a record.
 """
 
 from __future__ import annotations
@@ -36,15 +37,20 @@ from .tensor import Tensor, affine, affine_backward
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+_TILE_ROWS = 512  # rows per PointBlock.predict tile: 1 MiB at the encoder's widest layer
 
 
-def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng) -> np.ndarray:
+def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng | None) -> np.ndarray:
+    """Initial weights drawn from rng, or zeros when rng is None: a network
+    that a checkpoint will fill needs no draw."""
     if scheme == "kaiming":
         limit = np.sqrt(6.0 / n_in)
     elif scheme == "xavier":
         limit = np.sqrt(6.0 / (n_in + n_out))
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
+    if rng is None:
+        return np.zeros((n_in, n_out))
     return (rng.uniform((n_in, n_out)) * 2.0 - 1.0) * limit
 
 
@@ -53,7 +59,7 @@ class Dense:
 
     kind, ndim = "dense", 2
 
-    def __init__(self, n_in: int, n_out: int, rng: Rng, init: str = "kaiming"):
+    def __init__(self, n_in: int, n_out: int, rng: Rng | None, init: str = "kaiming"):
         self.n_in, self.n_out, self.init = n_in, n_out, init
         self.w = Tensor(_init_weight(n_in, n_out, init, rng))
         self.b = Tensor(np.zeros(n_out))
@@ -284,7 +290,14 @@ class PointBlock:
     allocated.  An infer call keeps every triple's output and runs the
     BatchNorm affine map and the ReLU in place in its GEMM output, so its
     backward recomputes the GEMM; predict runs the same infer arithmetic
-    with no node and keeps nothing.
+    with no node and keeps nothing, over tiles of whole clouds of at most
+    _TILE_ROWS rows, so that a batch's layer outputs never reach megabytes.
+    The tiles leave every bit unchanged: numpy's GEMM gives a row the same
+    bits whatever number of rows, two or more, shares the call (measured for
+    the encoder's layer shapes; tests/test_predict.py checks it at several
+    tile sizes), and every other op is per row or per feature.  A one-row
+    product goes to gemv, whose bits may differ, so clouds of one point run
+    untiled.
     """
 
     def __init__(self, triples: list):
@@ -333,7 +346,20 @@ class PointBlock:
         return x, inputs, states
 
     def predict(self, x: np.ndarray, check, index: int) -> np.ndarray:
-        return self._run(x, False, check, index, 0)[0]
+        """The infer call's output, from consecutive tiles of whole clouds
+        of at most _TILE_ROWS rows (one cloud when a cloud has more), joined.
+        Clouds of one point run untiled (see the class).  An error in any
+        tile reruns the whole batch, which raises the error of the untiled
+        call: the first layer that fails on any cloud, and the full shape."""
+        if x.ndim != 3 or x.shape[1] < 2 or x.shape[0] * x.shape[1] <= _TILE_ROWS:
+            return self._run(x, False, check, index, 0)[0]
+        per = max(_TILE_ROWS // x.shape[1], 1)
+        try:
+            tiles = [self._run(x[s : s + per], False, check, index, 0)[0]
+                     for s in range(0, len(x), per)]
+        except (FloatingPointError, ValueError):
+            return self._run(x, False, check, index, 0)[0]
+        return np.concatenate(tiles)
 
     def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
         triples = self.triples
@@ -447,7 +473,11 @@ class Network:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """forward(Tensor(x), train=False).data, bit for bit and with the same
         FloatingPointError, but with no graph; x is never written to, and each
-        intermediate is freed once the next step reads it."""
+        intermediate is freed once the next step reads it.  A PointBlock step
+        runs in tiles of whole clouds of at most _TILE_ROWS rows, so the
+        encoder's working set does not grow with the batch; a GEMM gives
+        each row the same bits in a tile as in the batch, except in a one-row
+        tile, so clouds of one point run untiled (see PointBlock)."""
         x = np.asarray(x, dtype=np.float64)
         for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):
@@ -523,10 +553,10 @@ class Network:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def dense_stack(n_in: int, widths: tuple, rng: Rng, name: str) -> Network:
+def dense_stack(n_in: int, widths: tuple, rng: Rng | None, name: str) -> Network:
     """Dense layers of `widths` on n_in features: Kaiming init and a ReLU
     after each hidden layer, Xavier init on the last, drawn from rng in
-    layer order."""
+    layer order (zeros when rng is None)."""
     layers: list = []
     for width in widths[:-1]:
         layers += [Dense(n_in, width, rng, init="kaiming"), ReLU()]

@@ -145,8 +145,12 @@ def test_train_ae_divergence_raises():
         train_ae(data, spec, AeTrainConfig(lr=1.0, batch_size=4, epochs=5, seed=0))
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a checkpoint load drew initial weights")
+
+
 @pytest.mark.parametrize("linear", [False, True])
-def test_save_load_round_trip(tmp_path, linear):
+def test_save_load_round_trip(tmp_path, monkeypatch, linear):
     ae = Autoencoder(AutoencoderSpec(n=16, k=4, linear=linear), Rng(13))
     # move BN stats off init so the round trip covers them
     ae.forward_batch(__import__("scanmend.nn.tensor", fromlist=["Tensor"]).Tensor(
@@ -154,7 +158,9 @@ def test_save_load_round_trip(tmp_path, linear):
     ), train=True)
     path = tmp_path / "ae.json"
     save_autoencoder(path, ae, seed=5)
-    back, bundle = load_autoencoder(path)
+    with monkeypatch.context() as m:  # loading draws no initial weights
+        m.setattr(Rng, "uniform", _no_draw)
+        back, bundle = load_autoencoder(path)
     assert bundle.seed == 5
     assert back.spec == ae.spec
     assert bundle.nets == {"encoder": back.encoder, "decoder": back.decoder}

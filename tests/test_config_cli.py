@@ -358,6 +358,31 @@ def test_lock_of_exited_owner_is_taken_over(micro_run, capsys):
     assert not lock.exists()
 
 
+@pytest.mark.parametrize("command, code", [
+    (["sweep"], 0),
+    (["eval", "--completions", "missing", "--gt", "missing"], 1),
+], ids=["sweep", "failing-eval"])
+def test_lock_owner_removes_temp_files_of_killed_writes(micro_run, command, code):
+    # write_atomic names a temp file NAME.<uuid4 hex>.tmp; a process killed
+    # before its rename leaves it.  The next invocation to hold the lock is
+    # the only writer under RUN, so it removes those, and nothing else.
+    run, args = micro_run["run"], micro_run["args"]
+    hex32 = "0123456789abcdef" * 2
+    left = [run / "checkpoints" / f"clean_ae.json.{hex32}.tmp",
+            run / "reports" / f"sweep.csv.{hex32}.tmp",
+            run / f"config.resolved.json.{hex32}.tmp"]
+    kept = [run / "notes.tmp", run / "reports" / f"sweep.csv.{hex32[:31]}.tmp"]
+    for path in left + kept:
+        path.write_bytes(b"partial")
+    try:
+        assert main([*command, *args]) == code
+        assert [p for p in left if p.exists()] == []
+        assert all(p.read_bytes() == b"partial" for p in kept)
+    finally:
+        for path in left + kept:
+            path.unlink(missing_ok=True)
+
+
 def test_missing_artifacts_are_distinct_errors(micro_run, tmp_path, capsys):
     cfg = str(micro_run["cfg"])
     empty = tmp_path / "empty-run"

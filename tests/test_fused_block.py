@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from scanmend.autoencoder import AeTrainConfig, AutoencoderSpec, save_autoencoder, train_ae
 from scanmend.gan import GanTrainConfig, TrainingMode, train_gan
+from scanmend.nn import layers as layers_module
 from scanmend.nn.layers import (
     BN_EPS,
     BN_MOMENTUM,
@@ -251,35 +252,50 @@ def _faulty_net(fault: str):
     elif fault == "mean-1":  # finite GEMM output whose batch mean overflows
         x[...] = 1.5e308
         net.layers[0].w.data = np.eye(3, 4)
+    elif fault == "gemm-3-then-0":  # cloud 0 overflows at the second GEMM, cloud 1 at the first
+        x[0, 0] = 1e300
+        x[1, 2] = 1e308
+        net.layers[0].w.data = np.full((3, 4), 2.0)
+        net.layers[3].w.data = np.full((4, 5), 1e10)
     return net, x
+
+
+CALLS = ("train", "infer", "predict", "predict-tiled")
 
 
 @pytest.mark.parametrize(
     "call,fault,layer",
     [
-        *[(call, "gemm-0", "0 (pointwise)") for call in ("train", "infer", "predict")],
-        *[(call, "gemm-3", "3 (pointwise)") for call in ("train", "infer", "predict")],
-        *[(call, "gamma-1", "1 (batchnorm)") for call in ("train", "infer", "predict")],
+        *[(call, "gemm-0", "0 (pointwise)") for call in CALLS],
+        *[(call, "gemm-3", "3 (pointwise)") for call in CALLS],
+        *[(call, "gamma-1", "1 (batchnorm)") for call in CALLS],
         ("train", "mean-1", "1 (batchnorm)"),
+        *[(call, "gemm-3-then-0", "0 (pointwise)") for call in CALLS],
     ],
 )
-def test_point_block_names_the_layer_whose_output_is_not_finite(call, fault, layer):
+def test_point_block_names_the_layer_whose_output_is_not_finite(
+    monkeypatch, call, fault, layer
+):
     # The block scans each triple once, at its BatchNorm output; the error
     # must still name the dense layer when the GEMM output is the one that is
     # not finite, and a train call must raise before that triple's BatchNorm
-    # changes its running statistics.
+    # changes its running statistics.  predict-tiled runs one cloud per tile,
+    # so the faulty cloud of gemm-0 is in the second tile, and in
+    # gemm-3-then-0 the first tile fails at a later layer than the batch.
+    if call == "predict-tiled":
+        monkeypatch.setattr(layers_module, "_TILE_ROWS", 6)
     net, x = _faulty_net(fault)
     second_bn = net.layers[4]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError) as exc:
-            if call == "predict":
+            if call.startswith("predict"):
                 net.predict(x)
             else:
                 net.forward(Tensor(x), train=call == "train")
     assert str(exc.value) == f"non-finite activation after layer {layer} of enc"
     assert np.array_equal(second_bn.running_mean, np.zeros(5))
     assert np.array_equal(second_bn.running_var, np.ones(5))
-    if fault == "gemm-0":
+    if fault in ("gemm-0", "gemm-3-then-0"):
         assert np.array_equal(net.layers[1].running_mean, np.zeros(4))
         assert np.array_equal(net.layers[1].running_var, np.ones(4))
 

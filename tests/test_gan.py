@@ -314,12 +314,18 @@ def test_train_gan_divergence_restores_last_finite_params():
 # ---- persistence ----
 
 
-def test_save_load_round_trip_rebuilds_pipeline(tmp_path):
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a checkpoint load drew initial weights")
+
+
+def test_save_load_round_trip_rebuilds_pipeline(tmp_path, monkeypatch):
     ae, clean, partial = tiny_setup()
     res = train_gan(clean, partial, TrainingMode.DEFAULT, small_cfg(), clean_ae=ae)
     path = tmp_path / "gan.json"
     save_gan(path, res, seed=0, clean_ae_hash="cafe")
-    bundle = load_gan(path)
+    with monkeypatch.context() as m:  # loading draws no initial weights
+        m.setattr(Rng, "uniform", _no_draw)
+        bundle = load_gan(path)
     assert bundle.extra["mode"] == "default"
     assert bundle.extra["clean_ae_hash"] == "cafe"
     assert bundle.extra["k"] == 4

@@ -2,10 +2,14 @@
 
 predict must return the output of forward(x, train=False) bit for bit on
 every network the system builds and on ad-hoc stacks, whatever the input's
-memory layout, and must leave its input and the max-pool tie count as they
-were.  The inference callers (completion,
-reconstruction EMD, the incompleteness sweep) must build no Tensor at all.
+memory layout and whatever the tile size of a point block, and must leave
+its input and the max-pool tie count as they were.  The inference callers
+(completion, reconstruction EMD, the incompleteness sweep) must build no
+Tensor at all, and the encoder's tiles bound its working set.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from scanmend.autoencoder import Autoencoder, AutoencoderSpec, reconstruction_emd
 from scanmend.gan import CompletionPipeline, GanSpec, build_discriminator, build_generator
 from scanmend.metrics import incompleteness_sweep
+from scanmend.nn import layers as layers_module
 from scanmend.nn.layers import BatchNorm, Dense, MaxPool, Network, PointwiseDense, ReLU
 from scanmend.nn.tensor import Tensor
 from scanmend.rng import Rng
@@ -37,6 +42,9 @@ def _build(kind: str, rng: Rng) -> tuple:
                             PointwiseDense(4, 6, rng), BatchNorm(6), MaxPool()],
         # widths differ, so the triple runs layer by layer and BatchNorm rejects it
         "mismatched": lambda: [PointwiseDense(3, 4, rng), BatchNorm(6), ReLU(), MaxPool()],
+        # two triples fuse, but the second GEMM rejects the first one's output
+        "mismatched_chain": lambda: [PointwiseDense(3, 4, rng), BatchNorm(4), ReLU(),
+                                     PointwiseDense(5, 6, rng), BatchNorm(6), ReLU(), MaxPool()],
         "leading_relu": lambda: [ReLU(), PointwiseDense(3, 4, rng), BatchNorm(4), ReLU(),
                                  MaxPool()],
         "leading_batchnorm": lambda: [BatchNorm(3), PointwiseDense(3, 4, rng), BatchNorm(4),
@@ -68,21 +76,32 @@ def _same(a, b) -> bool:
 
 
 KINDS = ["encoder", "linear_encoder", "decoder", "generator", "discriminator",
-         "unfused", "mismatched", "leading_relu", "leading_batchnorm"]
+         "unfused", "mismatched", "mismatched_chain", "leading_relu", "leading_batchnorm"]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
-    batch=st.integers(1, 4),
+    batch=st.integers(1, 12),
     points=st.integers(1, 6),
     layout=st.sampled_from(["contiguous", "strided", "fortran", "readonly"]),
+    tile_rows=st.sampled_from([1, 2, 7, layers_module._TILE_ROWS]),
     seed=st.integers(0, 2**16),
 )
-@example(kind="leading_relu", batch=2, points=3, layout="readonly", seed=1)
-@example(kind="leading_batchnorm", batch=1, points=1, layout="strided", seed=2)
-@example(kind="encoder", batch=3, points=6, layout="fortran", seed=3)
-def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, seed):
+@example(kind="leading_relu", batch=2, points=3, layout="readonly", tile_rows=2, seed=1)
+@example(kind="leading_batchnorm", batch=1, points=1, layout="strided", tile_rows=512, seed=2)
+@example(kind="encoder", batch=3, points=6, layout="fortran", tile_rows=7, seed=3)
+@example(kind="encoder", batch=2, points=1, layout="contiguous", tile_rows=1, seed=4)
+@example(kind="encoder", batch=12, points=5, layout="strided", tile_rows=7, seed=5)
+@example(kind="mismatched_chain", batch=4, points=3, layout="contiguous", tile_rows=2, seed=6)
+def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, tile_rows, seed):
+    # A point block's predict runs in tiles of whole clouds of at most
+    # tile_rows rows, one cloud when a cloud has more; forward never tiles.
+    with mock.patch.object(layers_module, "_TILE_ROWS", tile_rows):
+        _check_predict(kind, batch, points, layout, seed)
+
+
+def _check_predict(kind, batch, points, layout, seed):
     rng = Rng(seed)
     net, width, has_points = _build(kind, rng)
     _perturb(net, rng)
@@ -94,7 +113,7 @@ def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, see
     x.flags.writeable = layout != "readonly"
     before = x.copy()
 
-    if kind == "mismatched":
+    if kind.startswith("mismatched"):
         with pytest.raises(ValueError) as got:
             net.predict(x)
         with pytest.raises(ValueError) as want:
@@ -105,6 +124,20 @@ def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, see
     assert _same(x, before) and x.flags.writeable == (layout != "readonly")
     assert all(l.last_tie_count == -1 for l in net.layers if isinstance(l, MaxPool))
     assert _same(got, net.forward(Tensor(x), train=False).data)
+
+
+def test_encoder_predict_working_set_is_bounded():
+    # 24 clouds of 128 points: whole-batch layer outputs would be 6 MiB each
+    # (3,072 rows of 256 float64); 512-row tiles peak at about 2 MiB.
+    ae = Autoencoder(AutoencoderSpec(n=128, k=16), Rng(40))
+    clouds = Rng(41).normal((24, 128, 3))
+    tracemalloc.start()
+    try:
+        ae.encoder.predict(clouds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _counting_tensors(monkeypatch) -> list:
