@@ -37,12 +37,6 @@ from .rng import Rng
 ENCODER_FILTERS = (64, 128, 128, 256)  # fifth filter bank is the latent width k
 DECODER_HIDDEN = (256, 256)
 
-# Optimizer values of the reference training setup.
-PAPER_AE_LR = 0.0005
-PAPER_AE_BETA1 = 0.9
-PAPER_AE_BATCH = 200
-PAPER_AE_EPOCHS = 2000
-
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -153,10 +147,10 @@ def ae_loss(ae: Autoencoder, batch) -> Tensor:
 
 @dataclass
 class AeTrainConfig:
-    lr: float = PAPER_AE_LR
-    beta1: float = PAPER_AE_BETA1
-    batch_size: int = PAPER_AE_BATCH
-    epochs: int = PAPER_AE_EPOCHS
+    lr: float
+    beta1: float
+    batch_size: int
+    epochs: int
     seed: int = 0
 
 

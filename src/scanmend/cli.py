@@ -37,11 +37,12 @@ from .autoencoder import (
     train_ae,
 )
 from .config import SCHEMA, ConfigError, PRESETS, load_config, override_seed, resolve_config
-from .fileio import remove_temp_files, write_atomic
+from .fileio import process_exited, remove_temp_files, write_atomic
 from .gan import (
     GanTrainConfig,
     TrainingMode,
     assemble_pipeline,
+    autoencoder_targets,
     load_gan,
     mode_settings,
     save_gan,
@@ -73,23 +74,14 @@ def _paths(cfg: dict, run_dir: str) -> dict:
 
 
 def _dead_lock_owner(lock_path: str) -> int | None:
-    """PID stored in the lock file if that process no longer exists, else
-    None: a live owner, one this user may not signal, and unreadable lock
-    content all count as a holder."""
+    """PID stored in the lock file if that process has exited, else None:
+    unreadable lock content counts as a holder (see process_exited)."""
     try:
         with open(lock_path) as f:
             pid = int(f.read().strip())
     except (OSError, ValueError):
         return None
-    if pid <= 0:  # os.kill would signal a process group
-        return None
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, OverflowError):  # PermissionError: alive, another user's
-        return None
-    return None
+    return pid if process_exited(pid) else None
 
 
 @contextlib.contextmanager
@@ -97,9 +89,9 @@ def run_lock(run_dir: str):
     """Exclusive single-owner lock on a run directory for one invocation.
 
     run.lock holds the owner's PID.  A lock whose owner has exited, say
-    after a kill, is taken over with a warning on stderr.  The owner is the
-    only writer under run_dir, so once it holds the lock it removes the temp
-    files that a killed write_atomic left there.
+    after a kill, is taken over with a warning on stderr.  Once the owner
+    holds the lock, it removes the temp files that a killed write_atomic
+    left under run_dir; a live writer's temp file stays.
     """
     os.makedirs(run_dir, exist_ok=True)
     lock_path = os.path.join(run_dir, LOCK_NAME)
@@ -184,8 +176,7 @@ def _load_ae(paths: dict, target: str):
 
 def _load_aes(paths: dict, mode: str) -> dict:
     """The (autoencoder, checkpoint hash) pairs of the targets `mode` uses."""
-    uses_partial = mode_settings(mode).latent_source == "partial"
-    return {t: _load_ae(paths, t) for t in (("clean", "partial") if uses_partial else ("clean",))}
+    return {t: _load_ae(paths, t) for t in autoencoder_targets(mode)}
 
 
 def _load_pipeline(paths: dict, mode: str):
@@ -194,8 +185,7 @@ def _load_pipeline(paths: dict, mode: str):
     bundle = load_gan(gan_file)
     aes = _load_aes(paths, bundle.extra["mode"])
     for target, (_, digest) in aes.items():
-        expect = bundle.extra.get(f"{target}_ae_hash")
-        if expect and expect != digest:
+        if bundle.extra[f"{target}_ae_hash"] != digest:
             raise CliError(
                 f"checkpoint mismatch: {gan_file} was trained against a different"
                 f" {target} autoencoder than {_ae_path(paths, target)}"

@@ -35,11 +35,6 @@ from .rng import Rng
 GENERATOR_HIDDEN = 128
 DISCRIMINATOR_HIDDEN = (256, 512)
 
-PAPER_GAN_LR = 0.0001
-PAPER_GAN_BETA1 = 0.5
-PAPER_GAN_BATCH = 24
-PAPER_GAN_EPOCHS = 1000
-
 
 @dataclass(frozen=True)
 class GanSpec:
@@ -206,10 +201,10 @@ class CompletionPipeline:
 
 @dataclass
 class GanTrainConfig:
-    lr: float = PAPER_GAN_LR
-    beta1: float = PAPER_GAN_BETA1
-    batch_size: int = PAPER_GAN_BATCH
-    epochs: int = PAPER_GAN_EPOCHS
+    lr: float
+    beta1: float
+    batch_size: int
+    epochs: int
     seed: int = 0
     tau: float = 0.01
     # Only because perfbench/workloads.py passes gan_loss="ls"; the loss is always LSGAN.
@@ -305,7 +300,7 @@ def train_gan(
         for epoch in range(cfg.epochs):
             p_order = order_rng.permutation(n_partial)
             c_order = order_rng.permutation(n_clean)
-            sums = {"L_F": 0.0, "L_G": 0.0, "hard_HL": 0.0, "adv_term": 0.0}
+            sums = dict.fromkeys(GanTrainResult.CURVE_COLUMNS[1:], 0.0)
             batches = 0
             c_pos = 0
             for start in range(0, n_partial, cfg.batch_size):
@@ -421,13 +416,25 @@ def _gan_networks(k) -> dict[str, Network]:
     return dict(generator=build_generator(spec, None), discriminator=build_discriminator(spec, None))
 
 
+def autoencoder_targets(mode: TrainingMode) -> tuple:
+    """The autoencoders a `mode` pipeline runs: clean, and partial if it encodes partials."""
+    return ("clean", "partial") if mode_settings(mode).latent_source == "partial" else ("clean",)
+
+
 def load_gan(path) -> Bundle:
     """A latent-GAN bundle, its generator and discriminator built from extra.k,
-    whose extra.mode is a TrainingMode value; CheckpointError otherwise."""
+    whose extra.mode is a TrainingMode value and extra.<target>_ae_hash a
+    string for each autoencoder the mode runs; CheckpointError otherwise."""
     bundle = load_bundle(path, "k", _gan_networks, expect_kind="latent-gan")
     mode = bundle.extra.get("mode")
     if mode not in [m.value for m in TrainingMode]:
         raise CheckpointError(f"{path}: entry extra.mode is {mode!r}, not a training mode")
+    for target in autoencoder_targets(mode):
+        digest = bundle.extra.get(f"{target}_ae_hash")
+        if not isinstance(digest, str):
+            raise CheckpointError(
+                f"{path}: entry extra.{target}_ae_hash is {digest!r}, not a checkpoint hash"
+            )
     return bundle
 
 

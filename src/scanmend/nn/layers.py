@@ -2,9 +2,10 @@
 
 A Network is an ordered list of layer records; each run of consecutive
 PointwiseDense -> BatchNorm -> ReLU triples in it, such as the encoder's
-five, runs as one fused PointBlock node.  A train call of that node saves
-only each triple's x-hat and recomputes the triples' outputs in backward
-(see there for the buffers it owns and overwrites).  Weights are float64
+five, runs as one fused PointBlock in a train forward, as one node that
+saves only each triple's x-hat and recomputes the triples' outputs in
+backward (see there for the buffers it owns and overwrites), and in
+predict; an infer-mode forward runs the layers one by one.  Weights are float64
 Tensors; batchnorm running statistics are plain arrays.  A network holds no
 run mode: each call chooses train or infer arithmetic for itself.
 `forward(x, train=...)` takes the choice as a required keyword and builds
@@ -266,15 +267,16 @@ class MaxPool:
 
 class PointBlock:
     """A run of consecutive PointwiseDense -> BatchNorm -> ReLU triples as
-    one graph node.
+    one graph node of a train forward, or as predict's fused steps.
 
     Network builds one for each such run in its layer list, so the
-    encoder's five triples are one node; the layers keep their records,
+    encoder's five triples are one block; the layers keep their records,
     parameters and running statistics.  The node's parents are x and then
     each triple's (W, b, gamma, beta): a run of one has parents
     (x, W, b, gamma, beta).  Every per-element formula and reduction is the
     layers' own, so the outputs, running statistics and gradients are
-    bit-identical to running the layers one by one.
+    bit-identical to running the layers one by one, as an infer-mode
+    forward does: nothing differentiates an encoder with infer arithmetic.
 
     A train call keeps only the run's flattened input and each triple's
     x-hat, which it normalizes in place in the GEMM output, and `inv`.  A
@@ -285,29 +287,27 @@ class PointBlock:
     broadcast) is masked into a new array instead.  Per triple it applies
     the ReLU mask and the BatchNorm backward, which overwrites that triple's
     x-hat, then recomputes the triple's input from the previous triple's
-    x-hat with the forward's own ops.  That array gives the weight gradient and the
-    previous triple's ReLU mask, and is freed before the input gradient is
-    allocated.  An infer call keeps every triple's output and runs the
-    BatchNorm affine map and the ReLU in place in its GEMM output, so its
-    backward recomputes the GEMM; predict runs the same infer arithmetic
-    with no node and keeps nothing, over tiles of whole clouds of at most
-    _TILE_ROWS rows, so that a batch's layer outputs never reach megabytes.
-    The tiles leave every bit unchanged: numpy's GEMM gives a row the same
-    bits whatever number of rows, two or more, shares the call (measured for
-    the encoder's layer shapes; tests/test_predict.py checks it at several
-    tile sizes), and every other op is per row or per feature.  A one-row
-    product goes to gemv, whose bits may differ, so clouds of one point run
-    untiled.
+    x-hat with the forward's own ops.  That array gives the weight gradient
+    and the previous triple's ReLU mask, and is freed before the input
+    gradient is allocated.  predict runs the BatchNorm affine map and the
+    ReLU in place in each GEMM output and keeps nothing, over tiles of whole
+    clouds of at most _TILE_ROWS rows, so that a batch's layer outputs never
+    reach megabytes.  The tiles leave every bit unchanged: numpy's GEMM
+    gives a row the same bits whatever number of rows, two or more, shares
+    the call (measured for the encoder's layer shapes; tests/test_predict.py
+    checks it at several tile sizes), and every other op is per row or per
+    feature.  A one-row product goes to gemv, whose bits may differ, so
+    clouds of one point run untiled.
     """
 
     def __init__(self, triples: list):
         self.triples = triples  # (PointwiseDense, BatchNorm) pairs
 
-    def _run(self, x: np.ndarray, train: bool, check, index: int, keep: int) -> tuple:
-        """(output, flat inputs of the first `keep` triples, (x-hat, inv) per
-        triple for a train or (mean, inv) for an infer call) of the run on
-        array x.  `check(array, i)` raises when the output of layer i is not
-        finite; `index` is the index of the run's first layer.
+    def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
+        """(output, the first triple's flat input, (x-hat, inv) per triple)
+        of a train call of the run on array x, or (output, None, []) of an
+        infer call.  `check(array, i)` raises when the output of layer i is
+        not finite; `index` is the index of the run's first layer.
 
         Each triple is scanned once, at its BatchNorm output, which is not
         finite whenever its GEMM output is not.  The dense layer is still
@@ -315,15 +315,15 @@ class PointBlock:
         scans the GEMM output when the batch mean is not finite, before the
         running statistics change; an infer call, whose BatchNorm overwrote
         the GEMM output, recomputes it from the input when the scan fails."""
-        inputs, states = [], []
+        first, states = None, []
         for j, (dense, bn) in enumerate(self.triples):
             dense.check_input(x)
             shape = x.shape[:-1] + (dense.n_out,)
             w, b = dense.w.data, dense.b.data
             flat, h = affine(x, w, b)
-            if j < keep:
-                inputs.append(flat)
             if train:
+                if not j:
+                    first = flat
                 # A later triple's input is a view of the previous output: drop it.
                 del x, flat
                 mu = h.mean(axis=0)
@@ -333,8 +333,7 @@ class PointBlock:
                 y = bn.scale_shift(h)
                 check(y, index + 3 * j + 1)
             else:
-                states.append(bn.infer_stats())
-                y = bn.normalize_infer(h, *states[-1], out=h)
+                y = bn.normalize_infer(h, *bn.infer_stats(), out=h)
                 try:
                     check(y, index + 3 * j + 1)
                 except FloatingPointError:
@@ -343,7 +342,7 @@ class PointBlock:
                 del x, flat
             # ReLU maps finite values to finite values, so its output needs no check.
             x = np.maximum(y, 0.0, out=y).reshape(shape)
-        return x, inputs, states
+        return x, first, states
 
     def predict(self, x: np.ndarray, check, index: int) -> np.ndarray:
         """The infer call's output, from consecutive tiles of whole clouds
@@ -352,18 +351,18 @@ class PointBlock:
         tile reruns the whole batch, which raises the error of the untiled
         call: the first layer that fails on any cloud, and the full shape."""
         if x.ndim != 3 or x.shape[1] < 2 or x.shape[0] * x.shape[1] <= _TILE_ROWS:
-            return self._run(x, False, check, index, 0)[0]
+            return self._run(x, False, check, index)[0]
         per = max(_TILE_ROWS // x.shape[1], 1)
         try:
-            tiles = [self._run(x[s : s + per], False, check, index, 0)[0]
+            tiles = [self._run(x[s : s + per], False, check, index)[0]
                      for s in range(0, len(x), per)]
         except (FloatingPointError, ValueError):
-            return self._run(x, False, check, index, 0)[0]
+            return self._run(x, False, check, index)[0]
         return np.concatenate(tiles)
 
-    def forward(self, x: Tensor, train: bool, check, index: int) -> Tensor:
+    def forward(self, x: Tensor, check, index: int) -> Tensor:
         triples = self.triples
-        y, inputs, states = self._run(x.data, train, check, index, 1 if train else len(triples))
+        y, first, states = self._run(x.data, True, check, index)
         params = [t for dense, bn in triples for t in (dense.w, dense.b, bn.gamma, bn.beta)]
         out = Tensor(y, (x, *params))
 
@@ -377,23 +376,16 @@ class PointBlock:
                 w, b = dense.w, dense.b
                 dy = g.reshape(-1, dense.n_out)
                 del g
-                if train:
-                    # Overwrites triple j's x-hat, which pop then frees.
-                    dh = bn.backward_train(dy, *states.pop(), out=dy)
-                    if j:
-                        # Triple j's input, from the previous x-hat before its
-                        # backward overwrites it, with the forward's ops.
-                        inp = triples[j - 1][1].scale_shift(states[-1][0])
-                        np.maximum(inp, 0.0, out=inp)
-                    else:
-                        inp = inputs.pop()
-                else:
-                    inp = inputs.pop()
-                    dh = bn.backward_infer(dy, affine(inp, w.data, b.data)[1], *states.pop())
+                # Overwrites triple j's x-hat, which pop then frees.
+                dh = bn.backward_train(dy, *states.pop(), out=dy)
                 del dy
                 if not j:
-                    affine_backward(dh, inp, x, w, b)
+                    affine_backward(dh, first, x, w, b)
                     return
+                # Triple j's input, from the previous x-hat before its
+                # backward overwrites it, with the forward's ops.
+                inp = triples[j - 1][1].scale_shift(states[-1][0])
+                np.maximum(inp, 0.0, out=inp)
                 w.accum_grad(inp.T @ dh)
                 b.accum_grad(dh.sum(axis=0))
                 mask = inp > 0.0
@@ -436,7 +428,7 @@ def _forward_steps(layers: list) -> list:
 
 
 class Network:
-    """Ordered layer stack with flat parameter views."""
+    """Ordered layer stack; its parameters are read and written as one vector."""
 
     def __init__(self, layers: list, name: str = "net"):
         self.layers = list(layers)
@@ -456,15 +448,16 @@ class Network:
             self._check(arr, i)
 
     def forward(self, x: Tensor, *, train: bool) -> Tensor:
-        """Run the stack as autodiff nodes, each run of fused triples as one
-        PointBlock node, with train or infer arithmetic as `train` says; raise
-        FloatingPointError naming the first layer whose output is not
-        finite."""
+        """Run the stack as autodiff nodes with train or infer arithmetic as
+        `train` says; raise FloatingPointError naming the first layer whose
+        output is not finite.  A train call runs each run of fused triples
+        as one PointBlock node; an infer call runs the layers one by one."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        for n, (i, step) in enumerate(self._steps):
+        steps = self._steps if train else enumerate(self.layers)
+        for n, (i, step) in enumerate(steps):
             if isinstance(step, PointBlock):
-                x = step.forward(x, train, self._check, i)
+                x = step.forward(x, self._check, i)
             else:
                 x = step.forward(x, train)
                 self._check_step(n, i, x.data)

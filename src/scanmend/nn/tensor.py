@@ -33,15 +33,14 @@ Four rules keep memory behavior sane across long training runs:
   `g.flags.writeable`.  Forward, no operation writes into an array another
   node holds, so a closure may capture its own output array (ReLU derives
   its mask from it).  The fused point block (`layers.PointBlock`) is the
-  widest case: a train call normalizes each GEMM output in place to x-hat
-  and writes each triple's output into a new array; its backward works in
-  its incoming gradient, overwrites each x-hat and never writes its output.
-  An infer call works in place in each GEMM output, which is that triple's
-  output array, so its backward recomputes the GEMM.
-  `Network.predict`, the inference path, keeps the same rule with no node at
-  all: it builds no Tensor, normalizes by the BatchNorm running statistics,
-  and writes only into arrays it allocated itself, never into its input,
-  even when the first layer is a ReLU or a BatchNorm.
+  widest case.  Only a train call builds its node: it normalizes each GEMM
+  output in place to x-hat and writes each triple's output into a new
+  array; its backward works in its incoming gradient, overwrites each x-hat
+  and never writes its output.  `Network.predict`, the inference path, keeps
+  the same rule with no node at all: it builds no Tensor, normalizes by the
+  BatchNorm running statistics in place in each GEMM output, and writes
+  only into arrays it allocated itself, never into its input, even when the
+  first layer is a ReLU or a BatchNorm.
 * A node need not save what its backward reads.  It may recompute an
   intermediate from what it saved, with the forward's own ops on the same
   operands, so the recomputed array equals the dropped one bit for bit.

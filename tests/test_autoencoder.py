@@ -87,7 +87,7 @@ def test_linear_ae_memorizes_single_shape():
     # with the learning rate; a small lr is needed to get under 1e-3.
     spec = AutoencoderSpec(n=4, k=12, linear=True)
     data = Rng(9).normal((1, 4, 3)) * 0.5
-    cfg = AeTrainConfig(lr=2e-4, batch_size=1, epochs=3000, seed=0)
+    cfg = AeTrainConfig(lr=2e-4, beta1=0.9, batch_size=1, epochs=3000, seed=0)
     ae, losses = train_ae(data, spec, cfg)
     assert losses[-1] < 1e-3, losses[-1]
     assert reconstruction_emd(ae, data) < 1e-3
@@ -96,7 +96,7 @@ def test_linear_ae_memorizes_single_shape():
 def test_train_ae_loss_decreases_and_is_deterministic():
     spec = AutoencoderSpec(n=16, k=8)
     data = Rng(10).normal((20, 16, 3)) * 0.5
-    cfg = AeTrainConfig(lr=5e-4, batch_size=10, epochs=12, seed=3)
+    cfg = AeTrainConfig(lr=5e-4, beta1=0.9, batch_size=10, epochs=12, seed=3)
     ae1, l1 = train_ae(data, spec, cfg)
     ae2, l2 = train_ae(data, spec, cfg)
     assert l1 == l2
@@ -106,7 +106,7 @@ def test_train_ae_loss_decreases_and_is_deterministic():
     assert l1[-1] < l1[0]
     assert len(l1) == 12
     # a different seed gives a different trajectory
-    _, l3 = train_ae(data, spec, AeTrainConfig(lr=5e-4, batch_size=10, epochs=12, seed=4))
+    _, l3 = train_ae(data, spec, AeTrainConfig(lr=5e-4, beta1=0.9, batch_size=10, epochs=12, seed=4))
     assert l3 != l1
 
 
@@ -134,7 +134,8 @@ def test_train_step_peak_allocation():
 
 def test_train_ae_rejects_wrong_point_count():
     with pytest.raises(ValueError, match="expected 8"):
-        train_ae(Rng(11).normal((4, 6, 3)), AutoencoderSpec(n=8, k=4), AeTrainConfig(epochs=1))
+        train_ae(Rng(11).normal((4, 6, 3)), AutoencoderSpec(n=8, k=4),
+                 AeTrainConfig(lr=0.0005, beta1=0.9, batch_size=200, epochs=1))
 
 
 def test_train_ae_divergence_raises():
@@ -142,7 +143,7 @@ def test_train_ae_divergence_raises():
     spec = AutoencoderSpec(n=8, k=4)
     data = Rng(12).normal((4, 8, 3)) * 1e200
     with pytest.raises(TrainingDivergedError, match="diverged|non-finite"):
-        train_ae(data, spec, AeTrainConfig(lr=1.0, batch_size=4, epochs=5, seed=0))
+        train_ae(data, spec, AeTrainConfig(lr=1.0, beta1=0.9, batch_size=4, epochs=5, seed=0))
 
 
 def _no_draw(*args, **kwargs):

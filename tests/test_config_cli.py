@@ -363,15 +363,20 @@ def test_lock_of_exited_owner_is_taken_over(micro_run, capsys):
     (["eval", "--completions", "missing", "--gt", "missing"], 1),
 ], ids=["sweep", "failing-eval"])
 def test_lock_owner_removes_temp_files_of_killed_writes(micro_run, command, code):
-    # write_atomic names a temp file NAME.<uuid4 hex>.tmp; a process killed
-    # before its rename leaves it.  The next invocation to hold the lock is
-    # the only writer under RUN, so it removes those, and nothing else.
+    # write_atomic names a temp file NAME.<PID>.<uuid4 hex>.tmp; a process
+    # killed before its rename leaves it.  The next invocation to hold the
+    # lock removes those whose writer has exited, and nothing else: another
+    # process may be writing under RUN through an absolute `paths` entry.
     run, args = micro_run["run"], micro_run["args"]
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID names no process now
     hex32 = "0123456789abcdef" * 2
-    left = [run / "checkpoints" / f"clean_ae.json.{hex32}.tmp",
-            run / "reports" / f"sweep.csv.{hex32}.tmp",
-            run / f"config.resolved.json.{hex32}.tmp"]
-    kept = [run / "notes.tmp", run / "reports" / f"sweep.csv.{hex32[:31]}.tmp"]
+    dead, live = f"{child.pid}.{hex32}", f"{os.getpid()}.{hex32}"
+    left = [run / "checkpoints" / f"clean_ae.json.{dead}.tmp",
+            run / "reports" / f"sweep.csv.{dead}.tmp",
+            run / f"config.resolved.json.{dead}.tmp"]
+    kept = [run / "notes.tmp", run / "reports" / f"sweep.csv.{dead[:-1]}.tmp",
+            run / "checkpoints" / f"partial_ae.json.{live}.tmp"]
     for path in left + kept:
         path.write_bytes(b"partial")
     try:
@@ -492,11 +497,22 @@ def test_complete_rejects_checkpoint_spec_without_init(micro_run, tmp_path, caps
     # MICRO's k is 4: a generator built for k = 5 is not the stored one.
     (lambda doc: doc["extra"].update(k=5),
      "network 'generator': stored architecture does not match extra.k"),
-], ids=["no-mode", "bogus-mode", "no-generator", "no-k", "zero-k", "string-k", "other-k"])
+    (lambda doc: doc["extra"].pop("clean_ae_hash"),
+     "entry extra.clean_ae_hash is None, not a checkpoint hash"),
+    (lambda doc: doc["extra"].update(clean_ae_hash=None),
+     "entry extra.clean_ae_hash is None, not a checkpoint hash"),
+    (lambda doc: doc["extra"].update(clean_ae_hash=7),
+     "entry extra.clean_ae_hash is 7, not a checkpoint hash"),
+    # The default-mode checkpoint stores no partial hash.
+    (lambda doc: doc["extra"].update(mode="partial_ae"),
+     "entry extra.partial_ae_hash is None, not a checkpoint hash"),
+], ids=["no-mode", "bogus-mode", "no-generator", "no-k", "zero-k", "string-k", "other-k",
+        "no-clean-hash", "null-clean-hash", "int-clean-hash", "partial-mode-no-partial-hash"])
 def test_complete_rejects_gan_checkpoint_without_mode_or_generator(
     micro_run, tmp_path, capsys, edit, message
 ):
-    # The checkpoint's mode picks the source encoder; no other value stands in.
+    # The checkpoint's mode picks the source encoder, and its hashes the
+    # autoencoders it runs with; no other value stands in.
     clone = tmp_path / "clone"
     shutil.copytree(micro_run["run"], clone)
     ckpt = clone / "checkpoints" / "gan_default.json"

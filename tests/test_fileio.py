@@ -2,6 +2,7 @@
 fails midway leaves the old file's bytes and no temp file behind."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ def test_write_failing_midway_keeps_old_file(tmp_path, monkeypatch, name):
     with pytest.raises(OSError, match="no space left"):
         write(str(tmp_path))
     assert len(hit) == 1
+    # The temp name carries the writer's PID, which the run-lock sweep reads.
+    assert re.fullmatch(rf"{re.escape(target)}\.{os.getpid()}\.[0-9a-f]{{32}}\.tmp",
+                        os.path.basename(hit[0]))
     assert path.read_bytes() == b"old bytes\n"
     assert not [fn for fn in os.listdir(tmp_path) if fn.endswith(".tmp")]
 

@@ -139,7 +139,9 @@ def _check_run(batch, points, n_in, widths, train, layout, reshaped, seed):
 
     x = Tensor(data)
     out = net.forward(x, train=train)
-    assert out._parents == (x, *[t for d, b in triples for t in (d.w, d.b, b.gamma, b.beta)])
+    # Only a train call fuses the triples into one node; infer runs the layers one by one.
+    fused = (x, *[t for d, b in triples for t in (d.w, d.b, b.gamma, b.beta)])
+    assert (out._parents == fused) == train
     if reshaped:
         # The consumer passes its own gradient array through a reshape; the
         # block's backward must leave that array as it was.
@@ -310,7 +312,7 @@ def _pipeline_digest(tmp_path) -> str:
     clean = rng.normal((12, 16, 3)) * 0.4
     partial = clean[:, :8].repeat(2, axis=1) + rng.normal((12, 16, 3)) * 0.02
     spec = AutoencoderSpec(n=16, k=8)
-    ae, losses = train_ae(clean, spec, AeTrainConfig(lr=1e-3, batch_size=6, epochs=4, seed=2))
+    ae, losses = train_ae(clean, spec, AeTrainConfig(lr=1e-3, beta1=0.9, batch_size=6, epochs=4, seed=2))
     put(ae.as_single_network().param_vector())
     put(losses)
     for layer in ae.encoder.layers:
@@ -352,7 +354,7 @@ def _all_modes_digest() -> str:
     clean = rng.normal((10, 16, 3)) * 0.4
     partial = clean[:, :8].repeat(2, axis=1) + rng.normal((10, 16, 3)) * 0.02
     spec = AutoencoderSpec(n=16, k=8)
-    ae_cfg = AeTrainConfig(lr=1e-3, batch_size=5, epochs=3, seed=4)
+    ae_cfg = AeTrainConfig(lr=1e-3, beta1=0.9, batch_size=5, epochs=3, seed=4)
     clean_ae, _ = train_ae(clean, spec, ae_cfg)
     partial_ae, _ = train_ae(partial, spec, ae_cfg)
     cfg = GanTrainConfig(lr=1e-3, beta1=0.5, batch_size=4, epochs=2, seed=5)

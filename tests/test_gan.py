@@ -345,7 +345,7 @@ def test_gan_loss_accepts_only_least_squares(tmp_path):
     res = train_gan(clean, partial, TrainingMode.DEFAULT, small_cfg(epochs=1), clean_ae=ae)
     for loss in ("log", "hinge"):
         with pytest.raises(ValueError, match=f"gan_loss must be 'ls', got '{loss}'"):
-            GanTrainConfig(gan_loss=loss)
+            GanTrainConfig(lr=0.0001, beta1=0.5, batch_size=24, epochs=1000, gan_loss=loss)
         with pytest.raises(ValueError, match=f"gan_loss must be 'ls', got '{loss}'"):
             save_gan(tmp_path / "gan.json", res, seed=0, clean_ae_hash="cafe", gan_loss=loss)
     assert not (tmp_path / "gan.json").exists()
