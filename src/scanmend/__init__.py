@@ -3,11 +3,8 @@
 Point-set autoencoders define latent manifolds of partial and complete
 shapes; a small adversarial network maps partial codes to complete codes.
 Everything runs on numpy; shapes come from a procedural scan synthesizer.
+Import each name from the module that defines it (scanmend.pointset,
+scanmend.gan, ...); the package itself exports only __version__.
 """
 
-from .pointset import PointSet, normalize_unit_sphere
-from .rng import Rng
-
 __version__ = "0.1.0"
-
-__all__ = ["PointSet", "Rng", "normalize_unit_sphere", "__version__"]

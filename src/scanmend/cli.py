@@ -44,12 +44,16 @@ from .gan import (
     assemble_pipeline,
     autoencoder_targets,
     load_gan,
-    mode_settings,
     save_gan,
     train_gan,
 )
 from .metrics import (
-    MetricsReport, evaluate_completions, incompleteness_sweep, jsd, mode_collapse_reference
+    SWEEP_COLUMNS,
+    MetricsReport,
+    evaluate_completions,
+    incompleteness_sweep,
+    jsd,
+    mode_collapse_reference,
 )
 from .nn.checkpoint import CheckpointError
 from .ply import read_ply, write_ply
@@ -225,13 +229,12 @@ def _train_pool(dataset, target: str):
 def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, aes: dict):
     """Train one mode's latent GAN, then save its checkpoint and loss curve.
 
-    `aes` maps "clean", and "partial" where the mode encodes partial
-    shapes, to an (autoencoder, checkpoint hash) pair.
+    `aes` maps "clean", and "partial" where it was loaded, to an
+    (autoencoder, checkpoint hash) pair; gan.py decides what the mode uses.
     """
     g = cfg["gan"]
-    settings = mode_settings(mode)
     clean_ae, clean_hash = aes["clean"]
-    partial_ae, partial_hash = aes["partial"] if settings.latent_source == "partial" else (None, None)
+    partial_ae, partial_hash = aes.get("partial", (None, None))
     result = train_gan(
         _train_pool(dataset, "clean"),
         _train_pool(dataset, "partial"),
@@ -239,7 +242,7 @@ def _train_gan_mode(cfg: dict, paths: dict, dataset, mode: TrainingMode, aes: di
         _from_section(GanTrainConfig, g),
         clean_ae=clean_ae,
         partial_ae=partial_ae,
-        partial_gt=dataset.partial_train_gt if settings.recon_target == "gt" else None,
+        partial_gt=dataset.partial_train_gt,
     )
     out = _gan_path(paths, mode.value)
     os.makedirs(paths["checkpoints"], exist_ok=True)
@@ -389,9 +392,10 @@ def cmd_sweep(cfg: dict, run_dir: str, mode: str | None = None) -> int:
         eps=e["eps"],
         seed=e["seed"],
     )
-    cols = ("r", "f1_ae", "emd_ae", "f1_ours", "emd_ours")
     _write_csv(
-        os.path.join(paths["reports"], "sweep.csv"), cols, [[r[c] for c in cols] for r in rows]
+        os.path.join(paths["reports"], "sweep.csv"),
+        SWEEP_COLUMNS,
+        [[r[c] for c in SWEEP_COLUMNS] for r in rows],
     )
     for r in rows:
         print(
@@ -452,48 +456,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"scanmend {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", parents=[common], help="generate, corrupt and split a dataset")
+    # A handler looks its cmd_* function up when it runs, so a test can replace one.
+    synth = sub.add_parser("synth", parents=[common], help="generate, corrupt and split a dataset")
+    synth.set_defaults(handler=lambda cfg, a: cmd_synth(cfg, a.run))
 
     ae = sub.add_parser("train-ae", parents=[common], help="train a point-set autoencoder")
     ae.add_argument("--target", choices=["clean", "partial"], default="clean")
+    ae.set_defaults(handler=lambda cfg, a: cmd_train_ae(cfg, a.run, a.target))
 
     gan = sub.add_parser("train-gan", parents=[common], help="train the latent mapping")
     gan.add_argument("--mode", choices=[m.value for m in TrainingMode])
+    gan.set_defaults(handler=lambda cfg, a: cmd_train_gan(cfg, a.run, a.mode))
 
     comp = sub.add_parser("complete", parents=[common], help="complete partial clouds")
     comp.add_argument("--input", required=True, help="directory of partial .ply files")
     comp.add_argument("--output", required=True, help="directory for completed .ply files")
     comp.add_argument("--mode", choices=[m.value for m in TrainingMode])
+    comp.set_defaults(handler=lambda cfg, a: cmd_complete(cfg, a.run, a.input, a.output, a.mode))
 
     ev = sub.add_parser("eval", parents=[common], help="score completions against ground truth")
     ev.add_argument("--completions", required=True, help="directory of completed .ply files")
     ev.add_argument("--gt", required=True, help="directory of ground-truth .ply files")
     ev.add_argument("--label", default="eval", help="report file name prefix")
+    ev.set_defaults(handler=lambda cfg, a: cmd_eval(cfg, a.run, a.completions, a.gt, a.label))
 
     sw = sub.add_parser("sweep", parents=[common], help="score across incompleteness levels")
     sw.add_argument("--mode", choices=[m.value for m in TrainingMode])
+    sw.set_defaults(handler=lambda cfg, a: cmd_sweep(cfg, a.run, a.mode))
 
-    sub.add_parser("ablate", parents=[common], help="train and score every mode variant")
+    ab = sub.add_parser("ablate", parents=[common], help="train and score every mode variant")
+    ab.set_defaults(handler=lambda cfg, a: cmd_ablate(cfg, a.run))
     return p
-
-
-def _dispatch(args: argparse.Namespace, cfg: dict) -> int:
-    run = args.run
-    if args.command == "synth":
-        return cmd_synth(cfg, run)
-    if args.command == "train-ae":
-        return cmd_train_ae(cfg, run, args.target)
-    if args.command == "train-gan":
-        return cmd_train_gan(cfg, run, args.mode)
-    if args.command == "complete":
-        return cmd_complete(cfg, run, args.input, args.output, args.mode)
-    if args.command == "eval":
-        return cmd_eval(cfg, run, args.completions, args.gt, args.label)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, run, args.mode)
-    if args.command == "ablate":
-        return cmd_ablate(cfg, run)
-    raise CliError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -509,7 +502,7 @@ def main(argv=None) -> int:
             cfg = override_seed(cfg, args.seed)
         with run_lock(args.run):
             _write_json(os.path.join(args.run, "config.resolved.json"), cfg)
-            return _dispatch(args, cfg)
+            return args.handler(cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

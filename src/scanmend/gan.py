@@ -108,6 +108,11 @@ def mode_settings(mode: TrainingMode, tau: float = 0.01) -> ModeSettings:
     return ModeSettings(LossWeights(alpha, beta, recon_kind, tau), recon_target, latent_source)
 
 
+def autoencoder_targets(mode: TrainingMode) -> tuple:
+    """The autoencoders a `mode` pipeline runs: clean, and partial if it encodes partials."""
+    return ("clean", "partial") if mode_settings(mode).latent_source == "partial" else ("clean",)
+
+
 def build_generator(spec: GanSpec, rng: Rng | None) -> Network:
     return dense_stack(spec.k, spec.generator_widths, rng, "generator")
 
@@ -196,6 +201,18 @@ class CompletionPipeline:
         return PointSet(self.complete_batch(partial.points[None])[0])
 
 
+def _mode_pipeline(
+    mode: TrainingMode, clean_ae: Autoencoder, partial_ae: Autoencoder | None, generator: Network
+) -> CompletionPipeline:
+    """The `mode` pipeline around `generator`, which keeps partial_ae exactly
+    when the mode runs the partial autoencoder; ValueError if it is missing."""
+    mode = TrainingMode(mode).value
+    uses_partial = "partial" in autoencoder_targets(mode)
+    if uses_partial and partial_ae is None:
+        raise ValueError(f"mode {mode} needs a trained partial autoencoder")
+    return CompletionPipeline(clean_ae, generator, partial_ae if uses_partial else None, mode)
+
+
 # ---- training ----
 
 
@@ -267,16 +284,11 @@ def train_gan(
         gt = np.asarray(partial_gt, dtype=np.float64)
         if gt.shape != partial.shape:
             raise ValueError("partial_gt must align with partial_clouds")
-    if settings.latent_source == "partial":
-        if partial_ae is None:
-            raise ValueError("mode partial_ae needs a trained partial autoencoder")
-        source_enc = partial_ae.encoder
-    else:
-        source_enc = clean_ae.encoder
     spec = GanSpec(k=clean_ae.spec.k)
 
     root = Rng(cfg.seed)
     gen = build_generator(spec, root.spawn(0))
+    pipeline = _mode_pipeline(mode, clean_ae, partial_ae, gen)
     disc = build_discriminator(spec, root.spawn(1))
     order_rng = root.spawn(2)
     opt_g = AdamState(lr=cfg.lr, beta1=cfg.beta1)
@@ -286,7 +298,7 @@ def train_gan(
     # the discriminator reads clean codes; clean batches are drawn regardless,
     # so the random stream is the same in every mode.
     z_clean = clean_ae.encoder.predict(clean) if settings.train_disc else None
-    z_partial = source_enc.predict(partial)
+    z_partial = pipeline.source_encoder().predict(partial)
     decoder = clean_ae.decoder.frozen()
     n_pts = clean_ae.spec.n
 
@@ -372,12 +384,6 @@ def train_gan(
             curves.append(
                 {"epoch": epoch + 1, **{k: v / max(batches, 1) for k, v in sums.items()}}
             )
-    pipeline = CompletionPipeline(
-        clean_ae=clean_ae,
-        generator=gen,
-        partial_ae=partial_ae if settings.latent_source == "partial" else None,
-        mode=TrainingMode(mode).value,
-    )
     return GanTrainResult(pipeline=pipeline, discriminator=disc, curves=curves, diverged=diverged)
 
 
@@ -393,21 +399,28 @@ def save_gan(
     partial_ae_hash: str | None = None,
     gan_loss: str = "ls",  # only because perfbench/workloads.py passes it
 ) -> str:
+    """Write the result's checkpoint; partial_ae_hash is recorded only for a
+    mode that runs the partial autoencoder, null otherwise.  CheckpointError,
+    and no file, where load_gan would reject what would be written."""
     if gan_loss != "ls":
         raise ValueError(f"gan_loss must be 'ls', got {gan_loss!r}")
     pipeline = result.pipeline
+    extra = {
+        "mode": pipeline.mode,
+        "k": pipeline.clean_ae.spec.k,
+        "gan_loss": "ls",  # a fixed field of checkpoint format v1
+        "clean_ae_hash": clean_ae_hash,
+        "partial_ae_hash": (
+            partial_ae_hash if "partial" in autoencoder_targets(pipeline.mode) else None
+        ),
+    }
+    _check_gan_extra(path, extra)
     return save_bundle(
         path,
         {"generator": pipeline.generator, "discriminator": result.discriminator},
         kind="latent-gan",
         seed=seed,
-        extra={
-            "mode": pipeline.mode,
-            "k": pipeline.clean_ae.spec.k,
-            "gan_loss": "ls",  # a fixed field of checkpoint format v1
-            "clean_ae_hash": clean_ae_hash,
-            "partial_ae_hash": partial_ae_hash,
-        },
+        extra=extra,
     )
 
 
@@ -416,38 +429,29 @@ def _gan_networks(k) -> dict[str, Network]:
     return dict(generator=build_generator(spec, None), discriminator=build_discriminator(spec, None))
 
 
-def autoencoder_targets(mode: TrainingMode) -> tuple:
-    """The autoencoders a `mode` pipeline runs: clean, and partial if it encodes partials."""
-    return ("clean", "partial") if mode_settings(mode).latent_source == "partial" else ("clean",)
-
-
-def load_gan(path) -> Bundle:
-    """A latent-GAN bundle, its generator and discriminator built from extra.k,
-    whose extra.mode is a TrainingMode value and extra.<target>_ae_hash a
-    string for each autoencoder the mode runs; CheckpointError otherwise."""
-    bundle = load_bundle(path, "k", _gan_networks, expect_kind="latent-gan")
-    mode = bundle.extra.get("mode")
+def _check_gan_extra(path, extra: dict) -> None:
+    """CheckpointError naming `path` unless extra.mode is a TrainingMode value
+    and extra.<target>_ae_hash a string for each autoencoder the mode runs."""
+    mode = extra.get("mode")
     if mode not in [m.value for m in TrainingMode]:
         raise CheckpointError(f"{path}: entry extra.mode is {mode!r}, not a training mode")
     for target in autoencoder_targets(mode):
-        digest = bundle.extra.get(f"{target}_ae_hash")
+        digest = extra.get(f"{target}_ae_hash")
         if not isinstance(digest, str):
             raise CheckpointError(
                 f"{path}: entry extra.{target}_ae_hash is {digest!r}, not a checkpoint hash"
             )
+
+
+def load_gan(path) -> Bundle:
+    """A latent-GAN bundle, its generator and discriminator built from extra.k,
+    and its extra checked as save_gan checks it; CheckpointError otherwise."""
+    bundle = load_bundle(path, "k", _gan_networks, expect_kind="latent-gan")
+    _check_gan_extra(path, bundle.extra)
     return bundle
 
 
 def assemble_pipeline(
     bundle: Bundle, clean_ae: Autoencoder, partial_ae: Autoencoder | None = None
 ) -> CompletionPipeline:
-    mode = bundle.extra["mode"]
-    needs_partial = mode_settings(mode).latent_source == "partial"
-    if needs_partial and partial_ae is None:
-        raise ValueError(f"mode {mode} requires the partial autoencoder")
-    return CompletionPipeline(
-        clean_ae=clean_ae,
-        generator=bundle.nets["generator"],
-        partial_ae=partial_ae if needs_partial else None,
-        mode=mode,
-    )
+    return _mode_pipeline(bundle.extra["mode"], clean_ae, partial_ae, bundle.nets["generator"])

@@ -33,6 +33,8 @@ from .synth import CorruptionSpec, corrupt
 
 DEFAULT_EPS = 0.03
 DEFAULT_GRID = 32
+# The keys of an incompleteness_sweep row, in sweep.csv's column order.
+SWEEP_COLUMNS = ("r", "f1_ae", "emd_ae", "f1_ours", "emd_ours")
 
 
 def _pts(x) -> np.ndarray:
@@ -183,15 +185,8 @@ def incompleteness_sweep(
         codes = ae_baseline.encode(partials)
         ours = pipeline.complete_codes(codes) if shared else pipeline.complete_batch(partials)
         ae_out = ae_baseline.decode(codes)
-        ours_rep = evaluate_completions(ours, gts, eps)
-        ae_rep = evaluate_completions(ae_out, gts, eps)
-        rows.append(
-            {
-                "r": float(r),
-                "f1_ae": ae_rep.aggregate["f1"],
-                "emd_ae": ae_rep.aggregate["emd"],
-                "f1_ours": ours_rep.aggregate["f1"],
-                "emd_ours": ours_rep.aggregate["emd"],
-            }
-        )
+        ours_agg = evaluate_completions(ours, gts, eps).aggregate
+        ae_agg = evaluate_completions(ae_out, gts, eps).aggregate
+        values = (float(r), ae_agg["f1"], ae_agg["emd"], ours_agg["f1"], ours_agg["emd"])
+        rows.append(dict(zip(SWEEP_COLUMNS, values)))
     return rows

@@ -26,7 +26,16 @@ from scanmend.config import (
     resolve_config,
     validate_config,
 )
-from scanmend.gan import GanSpec, TrainingMode, build_generator, load_gan
+from scanmend.autoencoder import load_autoencoder
+from scanmend.gan import (
+    GanSpec,
+    GanTrainResult,
+    TrainingMode,
+    assemble_pipeline,
+    build_generator,
+    load_gan,
+    save_gan,
+)
 from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
 from scanmend.rng import Rng
@@ -694,6 +703,32 @@ def test_train_gan_reads_and_hashes_clean_ae_once(micro_run, tmp_path, monkeypat
     assert len(reads) == 1
     recorded = load_gan(clone / "checkpoints" / "gan_default.json").extra["clean_ae_hash"]
     assert recorded == hashlib.sha256(ae_file.read_bytes()).hexdigest()
+
+
+def test_ablate_gan_checkpoints_name_the_autoencoders_their_mode_runs(micro_run, tmp_path):
+    clone = tmp_path / "clone"
+    shutil.copytree(micro_run["run"], clone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(["ablate", "--run", str(clone), "--config", str(micro_run["cfg"])]) == 0
+    ckpts = clone / "checkpoints"
+    digest = {t: hashlib.sha256((ckpts / f"{t}_ae.json").read_bytes()).hexdigest()
+              for t in ("clean", "partial")}
+    clean_ae, _ = load_autoencoder(ckpts / "clean_ae.json")
+    partial_ae, _ = load_autoencoder(ckpts / "partial_ae.json")
+    for mode in TrainingMode:
+        path = ckpts / f"gan_{mode.value}.json"
+        bundle = load_gan(path)
+        assert bundle.extra["clean_ae_hash"] == digest["clean"], mode
+        expected = digest["partial"] if mode is TrainingMode.PARTIAL_AE else None
+        assert bundle.extra["partial_ae_hash"] == expected, mode
+        # Loading and saving again gives the same bytes.
+        loaded = GanTrainResult(assemble_pipeline(bundle, clean_ae, partial_ae),
+                                bundle.nets["discriminator"], curves=[])
+        again = tmp_path / f"again_{mode.value}.json"
+        save_gan(again, loaded, seed=bundle.seed, clean_ae_hash=bundle.extra["clean_ae_hash"],
+                 partial_ae_hash=bundle.extra["partial_ae_hash"])
+        assert again.read_bytes() == path.read_bytes(), mode
 
 
 def test_train_ae_diverging_is_one_line(micro_run, tmp_path, capsys):

@@ -21,6 +21,7 @@ from scanmend.gan import (
     train_gan,
 )
 from scanmend.metrics import incompleteness_sweep
+from scanmend.nn.checkpoint import CheckpointError
 from scanmend.nn.gradcheck import grad_check
 from scanmend.nn.layers import BatchNorm
 from scanmend.nn.tensor import Tensor
@@ -364,6 +365,37 @@ def test_assemble_pipeline_checks_partial_ae(tmp_path):
     rebuilt = assemble_pipeline(bundle, ae, partial_ae=pae)
     probe = Rng(11).normal((2, 16, 3))
     assert np.array_equal(rebuilt.complete_batch(probe), res.pipeline.complete_batch(probe))
+
+
+@pytest.mark.parametrize("mode, hashes, message", [
+    (TrainingMode.PARTIAL_AE, dict(clean_ae_hash="cafe", partial_ae_hash=None),
+     "entry extra.partial_ae_hash is None, not a checkpoint hash"),
+    (TrainingMode.DEFAULT, dict(clean_ae_hash=7),
+     "entry extra.clean_ae_hash is 7, not a checkpoint hash"),
+    (TrainingMode.PARTIAL_AE, dict(clean_ae_hash=None, partial_ae_hash="f00d"),
+     "entry extra.clean_ae_hash is None, not a checkpoint hash"),
+], ids=["partial-mode-no-partial-hash", "int-clean-hash", "null-clean-hash"])
+def test_save_gan_refuses_what_load_gan_rejects(tmp_path, mode, hashes, message):
+    ae, clean, partial = tiny_setup()
+    pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
+    res = train_gan(clean, partial, mode, small_cfg(epochs=1), clean_ae=ae, partial_ae=pae)
+    path = tmp_path / "gan.json"
+    with pytest.raises(CheckpointError) as info:
+        save_gan(path, res, seed=0, **hashes)
+    assert str(info.value) == f"{path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_gan_records_partial_hash_only_where_the_mode_runs_it(tmp_path):
+    ae, clean, partial = tiny_setup()
+    pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
+    for mode in (TrainingMode.DEFAULT, TrainingMode.PARTIAL_AE):
+        res = train_gan(clean, partial, mode, small_cfg(epochs=1), clean_ae=ae, partial_ae=pae)
+        path = tmp_path / f"{mode.value}.json"
+        save_gan(path, res, seed=0, clean_ae_hash="cafe", partial_ae_hash="f00d")
+        expected = "f00d" if mode is TrainingMode.PARTIAL_AE else None
+        assert load_gan(path).extra["partial_ae_hash"] == expected
+        assert (res.pipeline.partial_ae is pae) == (mode is TrainingMode.PARTIAL_AE)
 
 
 def test_load_gan_rejects_wrong_kind(tmp_path):
