@@ -12,11 +12,11 @@ final one before the max; with `linear=True` a stripped-down variant (single
 linear per-point layer + max, single linear decoder) is available as a
 capacity sanity check that can memorize a single shape when k >= 3n.
 
-An autoencoder holds no run mode.  Training calls `forward_batch(x,
-train=True)`, which normalizes by batch statistics and updates the encoder's
-running statistics; every other caller runs `encode`, `decode` or
-`reconstruct`, which go through Network.predict and use the running
-statistics only, so a trained autoencoder is frozen for them.
+An autoencoder holds no run mode.  Only training calls `forward_batch`,
+which normalizes by batch statistics and updates the encoder's running
+statistics; every other caller runs `encode`, `decode` or `reconstruct`,
+which go through Network.predict and use the running statistics only, so a
+trained autoencoder is frozen for them.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ class Autoencoder:
         """The networks by their checkpoint names."""
         return {"encoder": self.encoder, "decoder": self.decoder}
 
-    def forward_batch(self, x: Tensor, *, train: bool) -> Tensor:
+    def forward_batch(self, x: Tensor) -> Tensor:
         """(batch, n, 3) -> reconstructed (batch, n, 3), differentiable, with
-        train or infer arithmetic as `train` says."""
-        code = self.encoder.forward(x, train=train)
-        flat = self.decoder.forward(code, train=train)
+        training arithmetic."""
+        code = self.encoder.forward(x)
+        flat = self.decoder.forward(code)
         return flat.reshape(flat.data.shape[0], self.spec.n, 3)
 
     def reconstruct(self, clouds) -> np.ndarray:
@@ -137,11 +137,11 @@ def _as_batch(clouds, n: int) -> np.ndarray:
 
 
 def ae_loss(ae: Autoencoder, batch) -> Tensor:
-    """Mean EMD between the batch and its train-call reconstructions
+    """Mean EMD between the batch and its forward_batch reconstructions
     (differentiable in the parameters; the data is a constant, so the first
     layer computes no input gradient)."""
     data = _as_batch(batch, ae.spec.n)
-    recon = ae.forward_batch(Tensor(data, constant=True), train=True)
+    recon = ae.forward_batch(Tensor(data, constant=True))
     return emd_loss(recon, data)
 
 

@@ -147,13 +147,15 @@ def gen_loss(f_fake: Tensor | None, anchor, completion: Tensor, w: LossWeights) 
 def _gen_loss_and_hard(f_fake, anchor, completion, w) -> tuple:
     """(gen_loss, the hard directed Hausdorff anchor -> completion of each
     cloud from the soft one's distances, or None when recon_kind is not
-    "hl" or beta is 0)."""
+    "hl" or beta is 0, the adversarial term's value, or 0.0 when alpha is 0)."""
     anchor_arr = anchor.points if isinstance(anchor, PointSet) else np.asarray(anchor)
-    terms, hard = [], None
+    terms, hard, adv = [], None, 0.0
     if w.alpha > 0:
         if f_fake is None:
             raise ValueError("alpha > 0 requires discriminator scores")
-        terms.append(w.alpha * _gen_adv_term(f_fake))
+        adv_term = _gen_adv_term(f_fake)
+        adv = float(adv_term.data)
+        terms.append(w.alpha * adv_term)
     if w.beta > 0:
         if w.recon_kind == "hl":
             recon = soft_hausdorff_loss(anchor_arr, completion, w.tau)
@@ -164,7 +166,7 @@ def _gen_loss_and_hard(f_fake, anchor, completion, w) -> tuple:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
-    return total, hard
+    return total, hard, adv
 
 
 # ---- pipeline ----
@@ -260,9 +262,9 @@ def train_gan(
     supervised modes.  Alternation is one discriminator step then
     one generator step per batch.  On divergence the last finite epoch's
     parameters are restored and training stops early (diverged=True).  The
-    encoders run only through Network.predict and the decoder with
-    train=False, so no parameter or running statistic of clean_ae or
-    partial_ae changes; the generator and discriminator run with train=True.
+    encoders run only through Network.predict and the decoder only through
+    a frozen view, which holds no BatchNorm, so no parameter or running
+    statistic of clean_ae or partial_ae changes.
 
     Each step does each piece of work once.  The generator runs one forward
     pass, which the discriminator step reads as a constant batch and the
@@ -328,13 +330,13 @@ def train_gan(
                 loss_f_val = 0.0
                 try:
                     gen.zero_grad()
-                    fake = gen.forward(Tensor(z_partial[p_sel], constant=True), train=True)
+                    fake = gen.forward(Tensor(z_partial[p_sel], constant=True))
                     if settings.train_disc:
                         disc.zero_grad()
                         l_f = disc_loss(
-                            disc.forward(Tensor(z_clean[c_sel], constant=True), train=True),
+                            disc.forward(Tensor(z_clean[c_sel], constant=True)),
                             # the fake batch as a constant, detached from G
-                            disc.forward(Tensor(fake.data, constant=True), train=True),
+                            disc.forward(Tensor(fake.data, constant=True)),
                         )
                         loss_f_val = float(l_f.data)
                         if not np.isfinite(loss_f_val):
@@ -348,11 +350,11 @@ def train_gan(
                     f_fake = None
                     if settings.train_disc:
                         # The discriminator as its step left it, with constant weights.
-                        f_fake = disc.frozen().forward(fake, train=True)
-                    # The frozen decoder is differentiated with infer arithmetic.
-                    completion = decoder.forward(fake, train=False).reshape(bsz, n_pts, 3)
+                        f_fake = disc.frozen().forward(fake)
+                    # The decoder holds no BatchNorm, so its forward moves no statistic.
+                    completion = decoder.forward(fake).reshape(bsz, n_pts, 3)
                     anchor = partial[p_sel] if settings.recon_target == "input" else gt[p_sel]
-                    l_g, hard = _gen_loss_and_hard(f_fake, anchor, completion, settings.weights)
+                    l_g, hard, adv = _gen_loss_and_hard(f_fake, anchor, completion, settings.weights)
                     loss_g_val = float(l_g.data)
                     if not np.isfinite(loss_g_val):
                         diverged = True
@@ -367,7 +369,6 @@ def train_gan(
                 # distance is the curve's; the other modes compute it here.
                 if hard is None:
                     hard = hausdorff_directed_batch(partial[p_sel], completion.data)
-                adv = float(_gen_adv_term(f_fake).data) if f_fake is not None else 0.0
                 # backward() freed the interior nodes; drop the root and the outputs
                 # held here before the next batch's forward builds a graph.
                 del fake, f_fake, completion, l_g

@@ -40,19 +40,17 @@ def grad_check(
     loss_fn,
     x,
     *,
-    train: bool,
     h: float = 1e-6,
     sample: int | None = None,
     rng: Rng | None = None,
 ) -> GradCheckResult:
-    """Compare analytic and central-FD gradients of
-    loss_fn(net.forward(x, train=train)).
+    """Compare analytic and central-FD gradients of loss_fn(net.forward(x)).
 
     Relative error per parameter is |a - n| / max(|a|, |n|, 1e-12).  With
     `sample`, a seeded random subset of parameters is checked instead of all
     of them.  A max-pool tie in the unperturbed forward makes the point
     nondifferentiable; the check is then skipped and reported as such.  The
-    BatchNorm running statistics that train forwards update are restored on
+    BatchNorm running statistics that the forwards update are restored on
     return.
     """
     if not isinstance(x, Tensor):
@@ -65,7 +63,7 @@ def grad_check(
     p0 = net.param_vector()
     try:
         net.zero_grad()
-        out = net.forward(x, train=train)
+        out = net.forward(x)
         if net.maxpool_tie_count() > 0:
             return GradCheckResult(0.0, 0, ["maxpool: skipped (nondifferentiable point)"])
         loss = loss_fn(out)
@@ -81,7 +79,7 @@ def grad_check(
 
         def value_at(vec: np.ndarray) -> float:
             net.set_param_vector(vec)
-            return float(loss_fn(net.forward(x, train=train)).data)
+            return float(loss_fn(net.forward(x)).data)
 
         max_rel = 0.0
         work = p0.copy()

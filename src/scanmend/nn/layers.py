@@ -1,28 +1,26 @@
 """Network layers: dense, shared per-point MLP, batchnorm, ReLU, max pool.
 
 A Network is an ordered list of layer records; each run of consecutive
-PointwiseDense -> BatchNorm -> ReLU triples in it, such as the encoder's
-five, runs as one fused PointBlock in a train forward, as one node that
-saves only each triple's x-hat and recomputes the triples' outputs in
-backward (see there for the buffers it owns and overwrites), and in
-predict; an infer-mode forward runs the layers one by one.  Weights are float64
+PointwiseDense -> BatchNorm -> ReLU triples in it runs as one fused
+PointBlock: in forward as one node that saves only each triple's x-hat and
+recomputes the triples' outputs in backward (see there for the buffers it
+owns and overwrites), and in predict as fused steps.  Weights are float64
 Tensors; batchnorm running statistics are plain arrays.  A network holds no
-run mode: each call chooses train or infer arithmetic for itself.
-`forward(x, train=...)` takes the choice as a required keyword and builds
-autodiff nodes; only a train forward normalizes by batch statistics and
-updates the running statistics.  `predict`, for inference, runs the infer
-formulas on plain arrays with the running statistics, builds no node, and
-writes only into arrays it allocated, never into its input, even when the
-first layer is a ReLU or a BatchNorm.  So Network.predict(x) is
-forward(Tensor(x), train=False).data, bit for bit.  `frozen()` gives a view
-of a network whose parameters are constants (see nn.tensor), to
-differentiate through it without training it.  Initialization is
-seed-controlled: Kaiming-uniform ahead of ReLU, Xavier for final linear
-layers; a network built with no Rng, to be filled from a checkpoint, starts
-from zero weights and draws nothing.  A layer's spec() record (type and
-sizes) identifies the architecture; checkpoints store the records, and
-loading compares them with those of a network built by the model's own
-code, so no layer is ever built from a record.
+run mode, and each path has one arithmetic.  `forward(x)` builds autodiff
+nodes for training: BatchNorm normalizes by batch statistics and updates
+the running statistics.  `predict`, for inference, normalizes by the
+running statistics on plain arrays, builds no node, and writes only into
+arrays it allocated, never into its input, even when the first layer is a
+ReLU or a BatchNorm.  A layer's `forward` still takes a `train` flag, for
+the benchmark's tracer; Network passes True and no layer reads it.
+`frozen()` gives a view of a network whose parameters are constants (see
+nn.tensor), to differentiate through it without training it.
+Initialization is seed-controlled: Kaiming-uniform ahead of ReLU, Xavier
+for final linear layers; a network built with no Rng, to be filled from a
+checkpoint, starts from zero weights and draws nothing.  A layer's spec()
+record (type and sizes) identifies the architecture; checkpoints store the
+records, and loading compares them with those of a network built by the
+model's own code, so no layer is ever built from a record.
 """
 
 from __future__ import annotations
@@ -101,9 +99,9 @@ class BatchNorm:
     """Feature-wise batch normalization.
 
     On 3-axis inputs statistics are taken over batch and points jointly.
-    A train call normalizes by batch statistics and updates the running
-    averages; an infer call uses the stored running averages only, so its
-    output is independent of batch composition.  The arithmetic works on
+    forward normalizes by batch statistics and updates the running
+    averages; predict uses the stored running averages only, so its output
+    is independent of batch composition.  The arithmetic works on
     (rows, width) arrays and is shared with the fused point block.
     """
 
@@ -173,14 +171,6 @@ class BatchNorm:
         y += self.beta.data
         return y
 
-    def backward_infer(self, dy: np.ndarray, flat: np.ndarray, mean, inv) -> np.ndarray:
-        """Accumulate the gamma and beta gradients of an infer forward of
-        `flat` and return its input gradient as a new array."""
-        xhat = (flat - mean) * inv
-        self.beta.accum_grad(dy.sum(axis=0))
-        self.gamma.accum_grad(np.einsum("ij,ij->j", dy, xhat))
-        return dy * (self.gamma.data * inv)
-
     def check_input(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.width:
             raise ValueError(f"batchnorm width {self.width} != features {x.shape[-1]}")
@@ -190,25 +180,17 @@ class BatchNorm:
         return self.normalize_infer(x.reshape(-1, self.width), *self.infer_stats()).reshape(x.shape)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
+        """Normalize by batch statistics; `train` is not read (see the module)."""
         self.check_input(x.data)
         shape, width = x.data.shape, self.width
         m = x.data.size // width
-        if train:
-            flat = x.data.reshape(m, width)
-            xhat, inv = self.normalize_train(flat, flat.mean(axis=0))
-            y = self.scale_shift(xhat)
+        flat = x.data.reshape(m, width)
+        xhat, inv = self.normalize_train(flat, flat.mean(axis=0))
+        y = self.scale_shift(xhat)
 
-            def backward(g):
-                dx = self.backward_train(g.reshape(m, width), xhat, inv)
-                x.accum_grad(dx.reshape(shape))
-
-        else:
-            mean, inv = self.infer_stats()
-            y = self.normalize_infer(x.data.reshape(m, width), mean, inv)
-
-            def backward(g):
-                dx = self.backward_infer(g.reshape(m, width), x.data.reshape(m, width), mean, inv)
-                x.accum_grad(dx.reshape(shape))
+        def backward(g):
+            dx = self.backward_train(g.reshape(m, width), xhat, inv)
+            x.accum_grad(dx.reshape(shape))
 
         out = Tensor(y.reshape(shape), (x, self.gamma, self.beta))
         out._backward = backward
@@ -267,7 +249,7 @@ class MaxPool:
 
 class PointBlock:
     """A run of consecutive PointwiseDense -> BatchNorm -> ReLU triples as
-    one graph node of a train forward, or as predict's fused steps.
+    one graph node of a forward, or as predict's fused steps.
 
     Network builds one for each such run in its layer list, so the
     encoder's five triples are one block; the layers keep their records,
@@ -275,10 +257,10 @@ class PointBlock:
     each triple's (W, b, gamma, beta): a run of one has parents
     (x, W, b, gamma, beta).  Every per-element formula and reduction is the
     layers' own, so the outputs, running statistics and gradients are
-    bit-identical to running the layers one by one, as an infer-mode
-    forward does: nothing differentiates an encoder with infer arithmetic.
+    bit-identical to running the layers' forward one by one, and predict's
+    output to chaining the layers' predict.
 
-    A train call keeps only the run's flattened input and each triple's
+    forward keeps only the run's flattened input and each triple's
     x-hat, which it normalizes in place in the GEMM output, and `inv`.  A
     triple's output, max(x-hat * gamma + beta, 0), is dropped as soon as the
     next triple's GEMM has read it; the last one is the node's output.
@@ -305,9 +287,9 @@ class PointBlock:
 
     def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
         """(output, the first triple's flat input, (x-hat, inv) per triple)
-        of a train call of the run on array x, or (output, None, []) of an
-        infer call.  `check(array, i)` raises when the output of layer i is
-        not finite; `index` is the index of the run's first layer.
+        of forward's train call of the run on array x, or (output, None, [])
+        of predict's infer call.  `check(array, i)` raises when the output of
+        layer i is not finite; `index` is the index of the run's first layer.
 
         Each triple is scanned once, at its BatchNorm output, which is not
         finite whenever its GEMM output is not.  The dense layer is still
@@ -447,25 +429,24 @@ class Network:
         if n == 0 or not isinstance(self.layers[i], (ReLU, MaxPool)):
             self._check(arr, i)
 
-    def forward(self, x: Tensor, *, train: bool) -> Tensor:
-        """Run the stack as autodiff nodes with train or infer arithmetic as
-        `train` says; raise FloatingPointError naming the first layer whose
-        output is not finite.  A train call runs each run of fused triples
-        as one PointBlock node; an infer call runs the layers one by one."""
+    def forward(self, x: Tensor) -> Tensor:
+        """Run the stack as autodiff nodes with training arithmetic, each run
+        of fused triples as one PointBlock node; raise FloatingPointError
+        naming the first layer whose output is not finite."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        steps = self._steps if train else enumerate(self.layers)
-        for n, (i, step) in enumerate(steps):
+        for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):
                 x = step.forward(x, self._check, i)
             else:
-                x = step.forward(x, train)
+                x = step.forward(x, True)
                 self._check_step(n, i, x.data)
         return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """forward(Tensor(x), train=False).data, bit for bit and with the same
-        FloatingPointError, but with no graph; x is never written to, and each
+        """Inference: the layers' predict chained, bit for bit, raising
+        FloatingPointError naming the first layer whose output is not
+        finite, with no graph; x is never written to, and each
         intermediate is freed once the next step reads it.  A PointBlock step
         runs in tiles of whole clouds of at most _TILE_ROWS rows, so the
         encoder's working set does not grow with the batch; a GEMM gives
@@ -498,7 +479,7 @@ class Network:
         constants on the arrays they hold now, so a backward through the
         view reaches its input only.  The view shares no state that a call
         changes: set_param_vector rebinds the network's arrays, not the
-        view's, and a train call on the view updates the view's BatchNorm
+        view's, and a forward on the view updates the view's BatchNorm
         running statistics, not the network's."""
         layers = []
         for layer in self.layers:

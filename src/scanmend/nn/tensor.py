@@ -33,18 +33,18 @@ Four rules keep memory behavior sane across long training runs:
   `g.flags.writeable`.  Forward, no operation writes into an array another
   node holds, so a closure may capture its own output array (ReLU derives
   its mask from it).  The fused point block (`layers.PointBlock`) is the
-  widest case.  Only a train call builds its node: it normalizes each GEMM
-  output in place to x-hat and writes each triple's output into a new
-  array; its backward works in its incoming gradient, overwrites each x-hat
-  and never writes its output.  `Network.predict`, the inference path, keeps
-  the same rule with no node at all: it builds no Tensor, normalizes by the
-  BatchNorm running statistics in place in each GEMM output, and writes
-  only into arrays it allocated itself, never into its input, even when the
-  first layer is a ReLU or a BatchNorm.
+  widest case.  Its forward node normalizes each GEMM output in place to
+  x-hat and writes each triple's output into a new array; its backward
+  works in its incoming gradient, overwrites each x-hat and never writes
+  its output.  `Network.predict`, the inference path, keeps the same rule
+  with no node at all: it builds no Tensor, normalizes by the BatchNorm
+  running statistics in place in each GEMM output, and writes only into
+  arrays it allocated itself, never into its input, even when the first
+  layer is a ReLU or a BatchNorm.
 * A node need not save what its backward reads.  It may recompute an
   intermediate from what it saved, with the forward's own ops on the same
   operands, so the recomputed array equals the dropped one bit for bit.
-  The point block's train call saves only each triple's x-hat and `inv`;
+  The point block's forward saves only each triple's x-hat and `inv`;
   its backward recomputes each triple's input, the previous triple's
   output, from the previous x-hat before that x-hat is overwritten.
 * The root and the leaves keep their gradients (a constant has none).

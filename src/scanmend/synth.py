@@ -651,19 +651,33 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """The dataset that save_dataset wrote to `in_dir`.  FileNotFoundError
+    when it has no manifest; one ValueError naming the file or directory when
+    the manifest is not a JSON object of this version with an int n, a split
+    directory is missing, or a PLY file does not hold n points."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no dataset manifest at {path}")
-    with open(path) as f:
-        manifest = json.load(f)
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON dataset manifest: {e}") from e
+    n = manifest.get("n") if isinstance(manifest, dict) else None
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{path}: not a dataset manifest with a positive int n")
     if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported dataset manifest version {manifest.get('version')!r}")
+        raise ValueError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
     parts = {}
     for split in _SPLIT_DIRS:
         d = os.path.join(in_dir, split)
-        names = sorted(fn for fn in os.listdir(d) if fn.endswith(".ply"))
-        if names:
-            parts[split] = np.stack([read_ply(os.path.join(d, fn)).points for fn in names])
-        else:
-            parts[split] = np.zeros((0, manifest["n"], 3))
+        if not os.path.isdir(d):
+            raise ValueError(f"{d}: dataset split directory is missing")
+        clouds = []
+        for fn in sorted(fn for fn in os.listdir(d) if fn.endswith(".ply")):
+            cloud = read_ply(os.path.join(d, fn)).points
+            if len(cloud) != n:
+                raise ValueError(f"{os.path.join(d, fn)}: point count {len(cloud)}, manifest n {n}")
+            clouds.append(cloud)
+        parts[split] = np.stack(clouds) if clouds else np.zeros((0, n, 3))
     return Dataset(manifest=manifest, **parts)

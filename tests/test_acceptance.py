@@ -39,7 +39,6 @@ from scanmend.metrics import f1
 from scanmend.nn.gradcheck import grad_check
 from scanmend.nn.layers import BatchNorm, Dense, MaxPool, Network, PointwiseDense, ReLU
 from scanmend.nn.lossops import emd_loss
-from scanmend.nn.tensor import Tensor
 from scanmend.ply import read_ply
 from scanmend.rng import Rng
 from scanmend.synth import load_dataset
@@ -95,10 +94,8 @@ def test_criterion_02_gradient_integrity():
         "maxpool": (Network([PointwiseDense(3, 4, Rng(4)), MaxPool()]), (2, 9, 3)),
     }
     for name, (net, shape) in isolated.items():
-        res = grad_check(net, sum_loss, rng.normal(shape), train=True, rng=Rng(5))
+        res = grad_check(net, sum_loss, rng.normal(shape), rng=Rng(5))
         errs[f"layer:{name}"] = res.max_rel_err
-        res = grad_check(net, sum_loss, rng.normal(shape), train=False, rng=Rng(6))
-        errs[f"layer:{name}:infer"] = res.max_rel_err
 
     # (b) the full autoencoder under the EMD objective
     ae = Autoencoder(AutoencoderSpec(n=24, k=8), Rng(7))
@@ -108,7 +105,7 @@ def test_criterion_02_gradient_integrity():
     def ae_emd(out):
         return emd_loss(out.reshape(2, 24, 3), batch)
 
-    res = grad_check(net, ae_emd, batch, train=True, sample=300, rng=Rng(8))
+    res = grad_check(net, ae_emd, batch, sample=300, rng=Rng(8))
     errs["ae+emd"] = res.max_rel_err
 
     # (c) the full generator path under the soft-Hausdorff objective
@@ -122,10 +119,10 @@ def test_criterion_02_gradient_integrity():
     def gan_objective(fake):
         disc.zero_grad()
         dec_ae.decoder.zero_grad()
-        completion = dec_ae.decoder.forward(fake, train=False).reshape(2, 24, 3)
-        return gen_loss(disc.forward(fake, train=False), anchor, completion, weights)
+        completion = dec_ae.decoder.forward(fake).reshape(2, 24, 3)
+        return gen_loss(disc.forward(fake), anchor, completion, weights)
 
-    res = grad_check(gen, gan_objective, rng.normal((2, 8)), train=True, rng=Rng(12))
+    res = grad_check(gen, gan_objective, rng.normal((2, 8)), rng=Rng(12))
     errs["generator+soft-hl"] = res.max_rel_err
 
     elapsed = time.monotonic() - start
@@ -155,10 +152,10 @@ def test_criterion_04_encoder_permutation_invariance():
     checked = 0
     for _ in range(20):
         cloud = rng.normal((128, 3))
-        base = ae.encoder.forward(Tensor(cloud[None]), train=False).data.copy()
+        base = ae.encode(cloud[None])
         for _ in range(100):
             perm = rng.permutation(128)
-            z = ae.encoder.forward(Tensor(cloud[perm][None]), train=False).data
+            z = ae.encode(cloud[perm][None])
             assert np.array_equal(base, z)
             checked += 1
     report(4, f"{checked} permuted encodings bit-identical")

@@ -43,7 +43,7 @@ def test_ae_loss_unit_shift_example():
     class Shifted:
         spec = ae.spec
 
-        def forward_batch(self, x, *, train):
+        def forward_batch(self, x):
             return x + np.array([0.0, 0.0, 1.0])
 
     loss = ae_loss(Shifted(), batch)
@@ -156,7 +156,7 @@ def test_save_load_round_trip(tmp_path, monkeypatch, linear):
     # move BN stats off init so the round trip covers them
     ae.forward_batch(__import__("scanmend.nn.tensor", fromlist=["Tensor"]).Tensor(
         Rng(14).normal((3, 16, 3))
-    ), train=True)
+    ))
     path = tmp_path / "ae.json"
     save_autoencoder(path, ae, seed=5)
     with monkeypatch.context() as m:  # loading draws no initial weights

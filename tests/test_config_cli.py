@@ -422,6 +422,25 @@ def test_malformed_ply_is_reported(micro_run, tmp_path, capsys):
         assert err.startswith("error: malformed PLY") and err.count(str(bad)) == 1
 
 
+@pytest.mark.parametrize("rel, damage", [
+    ("manifest.json", lambda path: path.write_text("not json")),
+    ("manifest.json", lambda path: path.write_text("[]")),
+    ("manifest.json", lambda path: path.write_text('{"version": 1}')),
+    ("manifest.json", lambda path: path.write_text('{"version": 1, "n": "16"}')),
+    ("clean_test", shutil.rmtree),
+    ("clean_train/0000.ply", lambda path: write_ply(path, PointSet(np.zeros((1, 3))))),
+], ids=["not-json", "list", "no-n", "string-n", "missing-split", "one-point-ply"])
+def test_damaged_dataset_is_one_line_naming_the_file(micro_run, tmp_path, capsys, rel, damage):
+    run = tmp_path / "run"
+    shutil.copytree(micro_run["run"], run)
+    damaged = run / "dataset" / rel
+    damage(damaged)
+    capsys.readouterr()
+    assert main(["sweep", "--run", str(run), "--config", str(micro_run["cfg"])]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(damaged) in err, err
+
+
 def test_complete_rejects_wrong_point_count(micro_run, tmp_path, capsys):
     in_dir = tmp_path / "five"
     in_dir.mkdir()

@@ -35,10 +35,10 @@ def _grads(net) -> list:
 
 def _gen_step(gen, disc, decoder, z, anchor, kind, constant):
     """One generator objective's backward, with the codes constant or not."""
-    fake = gen.forward(Tensor(z, constant=constant), train=True)
-    completion = decoder.forward(fake, train=False).reshape(-1, N, 3)
+    fake = gen.forward(Tensor(z, constant=constant))
+    completion = decoder.forward(fake).reshape(-1, N, 3)
     weights = LossWeights(0.25, 0.75, kind)
-    gen_loss(disc.forward(fake, train=True), anchor, completion, weights).backward()
+    gen_loss(disc.forward(fake), anchor, completion, weights).backward()
 
 
 @pytest.mark.parametrize("kind", ["hl", "emd"])
@@ -70,24 +70,24 @@ def test_constant_batches_give_the_discriminator_gradients_of_a_full_backward():
     disc = build_discriminator(GanSpec(k=K), Rng(1))
     real, fake = Rng(5).normal((5, K)), Rng(6).normal((5, K))
     full_inputs = [Tensor(real), Tensor(fake)]
-    disc_loss(*(disc.forward(x, train=True) for x in full_inputs)).backward()
+    disc_loss(*(disc.forward(x) for x in full_inputs)).backward()
     full = _grads(disc)
     assert all(x.grad is not None for x in full_inputs)
 
     disc.zero_grad()
     inputs = [Tensor(real, constant=True), Tensor(fake, constant=True)]
-    disc_loss(*(disc.forward(x, train=True) for x in inputs)).backward()
+    disc_loss(*(disc.forward(x) for x in inputs)).backward()
     assert _grads(disc) == full
     assert all(x.grad is None for x in inputs)
 
 
 def test_constant_autoencoder_input_keeps_parameter_gradients():
     # Two autoencoders from one seed, so the BatchNorm running statistics
-    # that a train call updates are the same on both sides.
+    # that forward_batch updates are the same on both sides.
     spec, data = AutoencoderSpec(n=8, k=K), Rng(7).normal((3, 8, 3))
     ref, ae = Autoencoder(spec, Rng(8)), Autoencoder(spec, Rng(8))
     x = Tensor(data)
-    emd_loss(ref.forward_batch(x, train=True), data).backward()
+    emd_loss(ref.forward_batch(x), data).backward()
     assert x.grad is not None
     ae_loss(ae, data).backward()
     assert _grads(ae.as_single_network()) == _grads(ref.as_single_network())
@@ -140,7 +140,7 @@ def test_encoder_first_layer_computes_no_input_gradient_for_constant_data(consta
     if constant:
         ae_loss(ae, data).backward()  # the training objective: its data is a constant
     else:
-        emd_loss(ae.forward_batch(Tensor(data), train=True), data).backward()
+        emd_loss(ae.forward_batch(Tensor(data)), data).backward()
     forward, input_grad = (3, first.n_out), (first.n_out, 3)
     assert _CountingWeight.calls == ([forward] if constant else [forward, input_grad])
     assert first.w.grad is not None and first.b.grad is not None

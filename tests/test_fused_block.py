@@ -1,11 +1,13 @@
 """The fused point block against the layers it runs.
 
-The reference below is the three-node form the encoder ran before each
-PointwiseDense -> BatchNorm -> ReLU triple became one node: the flattened
-GEMM with the bias added in place, the BatchNorm arithmetic, and ReLU with
-its mask taken from the output.  A point block runs a whole run of triples;
-it must equal the reference chained triple by triple, bit for bit, forward
-and backward, in both modes.
+The reference below is the three-node training form the encoder ran before
+each PointwiseDense -> BatchNorm -> ReLU triple became one node: the
+flattened GEMM with the bias added in place, the BatchNorm batch-statistics
+arithmetic, and ReLU with its mask taken from the output.  Network.forward
+always trains (it hands every layer train=True), so that is the only form.
+A point block runs a whole run of triples; it must equal the reference
+chained triple by triple, bit for bit, forward and backward.  The block's
+predict is held to the layers' own predict in tests/test_predict.py.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ from scanmend.nn.tensor import Tensor
 from scanmend.rng import Rng
 
 
-def _reference(x, w, b, gamma, beta, mean, var, train, g):
+def _reference(x, w, b, gamma, beta, mean, var, g):
     """The three-node form: (output, running mean, running var, grads of
     x, w, b, gamma, beta) for the output gradient g."""
     n_in, c = w.shape
@@ -42,42 +44,29 @@ def _reference(x, w, b, gamma, beta, mean, var, train, g):
     h += b
     h = h.reshape(x.shape[:-1] + (c,))
     m = h.size // c
-    if train:
-        mu = h.reshape(m, c).mean(axis=0)
-        xhat = h - mu
-        bvar = np.einsum("ij,ij->j", xhat.reshape(m, c), xhat.reshape(m, c)) / m
-        mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
-        var = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * bvar
-        inv = 1.0 / np.sqrt(bvar + BN_EPS)
-        xhat *= inv
-        ybn = xhat * gamma
-        ybn += beta
-    else:
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        ybn = h - mean
-        ybn *= inv
-        ybn *= gamma
-        ybn += beta
+    mu = h.reshape(m, c).mean(axis=0)
+    xhat = h - mu
+    bvar = np.einsum("ij,ij->j", xhat.reshape(m, c), xhat.reshape(m, c)) / m
+    mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
+    var = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * bvar
+    inv = 1.0 / np.sqrt(bvar + BN_EPS)
+    xhat *= inv
+    ybn = xhat * gamma
+    ybn += beta
     y = np.maximum(ybn, 0.0)
     # ReLU backward, mask from its output.
     gr = g * (y > 0.0)
     dy = gr.reshape(m, c)
-    if train:
-        xh = xhat.reshape(m, c)
-        dbeta = dy.sum(axis=0)
-        dgamma = np.einsum("ij,ij->j", dy, xh)
-        dxhat = dy * gamma
-        c1 = dxhat.mean(axis=0)
-        c2 = np.einsum("ij,ij->j", dxhat, xh) / m
-        dxhat -= c1
-        dxhat -= xh * c2
-        dxhat *= inv
-        gh = dxhat.reshape(h.shape)
-    else:
-        xh = (h.reshape(m, c) - mean) * inv
-        dbeta = dy.sum(axis=0)
-        dgamma = np.einsum("ij,ij->j", dy, xh)
-        gh = gr * (gamma * inv)
+    xh = xhat.reshape(m, c)
+    dbeta = dy.sum(axis=0)
+    dgamma = np.einsum("ij,ij->j", dy, xh)
+    dxhat = dy * gamma
+    c1 = dxhat.mean(axis=0)
+    c2 = np.einsum("ij,ij->j", dxhat, xh) / m
+    dxhat -= c1
+    dxhat -= xh * c2
+    dxhat *= inv
+    gh = dxhat.reshape(h.shape)
     g2 = np.ascontiguousarray(gh).reshape(-1, c)
     dx = (g2 @ w.T).reshape(x.shape)
     return y, mean, var, dx, flat.T @ g2, g2.sum(axis=0), dgamma, dbeta
@@ -91,7 +80,7 @@ def _same(a, b) -> bool:
     )
 
 
-def _check_run(batch, points, n_in, widths, train, layout, reshaped, seed):
+def _check_run(batch, points, n_in, widths, layout, reshaped, seed):
     """A Network of one PointwiseDense -> BatchNorm -> ReLU triple per width
     against the reference chained triple by triple: output, running
     statistics and every gradient, bit for bit."""
@@ -127,21 +116,20 @@ def _check_run(batch, points, n_in, widths, train, layout, reshaped, seed):
     ]
     inputs, stats = [data], []
     for a in args:
-        y, mean, var = _reference(inputs[-1], *a, train, np.zeros(a[0].shape[1]))[:3]
+        y, mean, var = _reference(inputs[-1], *a, np.zeros(a[0].shape[1]))[:3]
         inputs.append(y)
         stats.append((mean, var))
     grads, up = [], g
     for x_j, a in reversed(list(zip(inputs, args))):
-        dx, dw, db, dgamma, dbeta = _reference(x_j, *a, train, up)[3:]
+        dx, dw, db, dgamma, dbeta = _reference(x_j, *a, up)[3:]
         grads.append((dw, db, dgamma, dbeta))
         up = dx
     grads.reverse()
 
     x = Tensor(data)
-    out = net.forward(x, train=train)
-    # Only a train call fuses the triples into one node; infer runs the layers one by one.
-    fused = (x, *[t for d, b in triples for t in (d.w, d.b, b.gamma, b.beta)])
-    assert (out._parents == fused) == train
+    out = net.forward(x)
+    # The triples run as one node.
+    assert out._parents == (x, *[t for d, b in triples for t in (d.w, d.b, b.gamma, b.beta)])
     if reshaped:
         # The consumer passes its own gradient array through a reshape; the
         # block's backward must leave that array as it was.
@@ -167,18 +155,17 @@ def _check_run(batch, points, n_in, widths, train, layout, reshaped, seed):
     points=st.integers(1, 6),
     n_in=st.sampled_from([1, 3, 5]),
     width=st.integers(1, 9),
-    train=st.booleans(),
     layout=st.sampled_from(["contiguous", "strided", "fortran"]),
     reshaped=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-# One row (m = 1): the batch variance is 0 and x-hat is 0 in train mode.
-@example(batch=1, points=1, n_in=3, width=9, train=True, layout="strided", reshaped=False, seed=1)
-@example(batch=1, points=1, n_in=1, width=9, train=False, layout="fortran", reshaped=True, seed=2)
+# One row (m = 1): the batch variance is 0 and x-hat is 0.
+@example(batch=1, points=1, n_in=3, width=9, layout="strided", reshaped=False, seed=1)
+@example(batch=1, points=1, n_in=1, width=9, layout="fortran", reshaped=True, seed=2)
 def test_point_block_bit_identical_to_three_layers(
-    batch, points, n_in, width, train, layout, reshaped, seed
+    batch, points, n_in, width, layout, reshaped, seed
 ):
-    _check_run(batch, points, n_in, [width], train, layout, reshaped, seed)
+    _check_run(batch, points, n_in, [width], layout, reshaped, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,23 +174,16 @@ def test_point_block_bit_identical_to_three_layers(
     points=st.integers(1, 6),
     n_in=st.sampled_from([1, 3, 5]),
     widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-    train=st.booleans(),
     layout=st.sampled_from(["contiguous", "strided", "fortran"]),
     reshaped=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(
-    batch=1, points=1, n_in=3, widths=[9, 4, 7], train=True, layout="strided", reshaped=False,
-    seed=1,
-)
-@example(
-    batch=2, points=3, n_in=1, widths=[2, 9, 1], train=False, layout="fortran", reshaped=True,
-    seed=2,
-)
+@example(batch=1, points=1, n_in=3, widths=[9, 4, 7], layout="strided", reshaped=False, seed=1)
+@example(batch=2, points=3, n_in=1, widths=[2, 9, 1], layout="fortran", reshaped=True, seed=2)
 def test_point_block_run_bit_identical_to_chained_layers(
-    batch, points, n_in, widths, train, layout, reshaped, seed
+    batch, points, n_in, widths, layout, reshaped, seed
 ):
-    _check_run(batch, points, n_in, widths, train, layout, reshaped, seed)
+    _check_run(batch, points, n_in, widths, layout, reshaped, seed)
 
 
 def test_network_fuses_only_matching_triples():
@@ -262,7 +242,7 @@ def _faulty_net(fault: str):
     return net, x
 
 
-CALLS = ("train", "infer", "predict", "predict-tiled")
+CALLS = ("train", "predict", "predict-tiled")
 
 
 @pytest.mark.parametrize(
@@ -293,7 +273,7 @@ def test_point_block_names_the_layer_whose_output_is_not_finite(
             if call.startswith("predict"):
                 net.predict(x)
             else:
-                net.forward(Tensor(x), train=call == "train")
+                net.forward(Tensor(x))
     assert str(exc.value) == f"non-finite activation after layer {layer} of enc"
     assert np.array_equal(second_bn.running_mean, np.zeros(5))
     assert np.array_equal(second_bn.running_var, np.ones(5))

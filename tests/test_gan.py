@@ -107,10 +107,10 @@ def test_gen_loss_gradients_through_emd_and_disc():
     def loss_fn(fake):
         disc.zero_grad()
         ae.decoder.zero_grad()
-        completion = ae.decoder.forward(fake, train=False).reshape(2, 6, 3)
-        return gen_loss(disc.forward(fake, train=False), anchor, completion, w)
+        completion = ae.decoder.forward(fake).reshape(2, 6, 3)
+        return gen_loss(disc.forward(fake), anchor, completion, w)
 
-    res = grad_check(gen, loss_fn, Rng(4).normal((2, 4)), train=True)
+    res = grad_check(gen, loss_fn, Rng(4).normal((2, 4)))
     assert res.max_rel_err < 1e-4
 
 
@@ -147,8 +147,8 @@ def test_gan_spec_widths_and_network_shapes():
     gen = build_generator(spec, Rng(0))
     disc = build_discriminator(spec, Rng(1))
     z = Tensor(Rng(2).normal((5, 16)))
-    assert gen.forward(z, train=True).data.shape == (5, 16)
-    assert disc.forward(z, train=True).data.shape == (5, 1)
+    assert gen.forward(z).data.shape == (5, 16)
+    assert disc.forward(z).data.shape == (5, 1)
 
 
 # ---- pipeline ----
@@ -220,8 +220,27 @@ def test_hard_hl_curve_equals_the_direct_computation(monkeypatch):
 
     from_loss = curves()
     split = gan._gen_loss_and_hard
-    monkeypatch.setattr(gan, "_gen_loss_and_hard", lambda *a: (split(*a)[0], None))
+
+    def without_hard(*args):
+        loss, _, adv = split(*args)
+        return loss, None, adv
+
+    monkeypatch.setattr(gan, "_gen_loss_and_hard", without_hard)
     assert curves() == from_loss
+
+
+def test_adversarial_term_is_built_once_per_generator_step(monkeypatch):
+    # The curve's adv_term is read from the term the generator loss built.
+    ae, clean, partial = tiny_setup()
+    pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
+    cfg = small_cfg(epochs=2)
+    steps = cfg.epochs * -(-len(partial) // cfg.batch_size)
+    term, built = gan._gen_adv_term, []
+    monkeypatch.setattr(gan, "_gen_adv_term", lambda f_fake: built.append(1) or term(f_fake))
+    for mode in TrainingMode:
+        built.clear()
+        train_gan(clean, partial, mode, cfg, clean_ae=ae, partial_ae=pae, partial_gt=clean)
+        assert len(built) == (steps if mode_settings(mode).train_disc else 0), mode
 
 
 def _frozen_state(ae) -> list:
@@ -239,7 +258,7 @@ def test_train_gan_freezes_autoencoder():
     ae, clean, partial = tiny_setup()
     pae = Autoencoder(AutoencoderSpec(n=16, k=4), Rng(42))
     for a in (ae, pae):  # move the running statistics off their initial values
-        a.forward_batch(Tensor(clean), train=True)
+        a.forward_batch(Tensor(clean))
     before = [_frozen_state(ae), _frozen_state(pae)]
     for mode in (TrainingMode.DEFAULT, TrainingMode.PARTIAL_AE):
         res = train_gan(clean, partial, mode, small_cfg(), clean_ae=ae, partial_ae=pae)

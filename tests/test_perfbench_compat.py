@@ -1,14 +1,18 @@
 """The entry points that perfbench/tracer.py wraps, by name and signature,
 and what perfbench/workloads.py passes into scanmend.
 
-The tracer wraps functions and methods of scanmend at run time and reads
-their arguments by position: a layer's train flag as the third argument of
-its forward, a train_gan call's mode as the third, the clouds of a
-soft_hausdorff_loss call as its first two, and the mesh and cameras of a
-virtual_scan call, whose faces and camera res it counts.  The workloads
-pass keywords that nothing else in the project uses.  A renamed function,
-a deleted keyword or a reordered parameter would break only the benchmark's own smoke test, so
-this Tier-1 test pins what the benchmark reads and passes.
+The reference is the tracer and the workloads themselves, loaded from
+perfbench/.  The tracer wraps functions and methods of scanmend at run time
+and reads their arguments by position: a layer's train flag as the third
+argument of its forward, a train_gan call's mode as the third, the clouds
+of a soft_hausdorff_loss call as its first two, and the mesh and cameras of
+a virtual_scan call, whose faces and camera res it counts.  The layer flag
+is always True: Network.forward always trains and passes True, and no layer
+reads it, so the tracer's infer label never fires.  The workloads pass
+keywords that nothing else in the project uses.  A renamed function, a
+deleted keyword or a reordered parameter breaks the benchmark;
+perfbench/test_smoke.py, which Tier-1 also runs, shows that it broke, and
+this test names what the benchmark reads and passes.
 """
 
 import importlib.util

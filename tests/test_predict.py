@@ -1,11 +1,16 @@
-"""Network.predict, the graph-free inference path, against Network.forward.
+"""Network.predict, the graph-free inference path, against its layers.
 
-predict must return the output of forward(x, train=False) bit for bit on
-every network the system builds and on ad-hoc stacks, whatever the input's
-memory layout and whatever the tile size of a point block, and must leave
-its input and the max-pool tie count as they were.  The inference callers
-(completion, reconstruction EMD, the incompleteness sweep) must build no
-Tensor at all, and the encoder's tiles bound its working set.
+The reference is the layers' own predict, chained one by one, with no fused
+point block and no tiles: the same affine, normalize_infer, np.maximum and
+max calls that Network.predict fuses.  predict must return the chain's
+output bit for bit on every network the system builds and on ad-hoc stacks,
+whatever the input's memory layout and whatever the tile size of a point
+block, raise the chain's ValueError on a width mismatch, and leave its input
+and the max-pool tie count as they were.  Network.forward is training
+arithmetic only (it hands every layer train=True), so it is no reference for
+predict.  The inference callers (completion, reconstruction EMD, the
+incompleteness sweep) must build no Tensor at all, and the encoder's tiles
+bound its working set.
 """
 
 import tracemalloc
@@ -68,6 +73,13 @@ def _perturb(net: Network, rng: Rng) -> None:
             layer.last_tie_count = -1
 
 
+def _chained(net: Network, x: np.ndarray) -> np.ndarray:
+    """The layers' own predict, one after another: no fused block, no tiles."""
+    for layer in net.layers:
+        x = layer.predict(x)
+    return x
+
+
 def _same(a, b) -> bool:
     """Equal bit for bit, signed zeros included."""
     return a.shape == b.shape and (
@@ -96,7 +108,7 @@ KINDS = ["encoder", "linear_encoder", "decoder", "generator", "discriminator",
 @example(kind="mismatched_chain", batch=4, points=3, layout="contiguous", tile_rows=2, seed=6)
 def test_predict_bit_identical_to_infer_forward(kind, batch, points, layout, tile_rows, seed):
     # A point block's predict runs in tiles of whole clouds of at most
-    # tile_rows rows, one cloud when a cloud has more; forward never tiles.
+    # tile_rows rows, one cloud when a cloud has more; the chain never tiles.
     with mock.patch.object(layers_module, "_TILE_ROWS", tile_rows):
         _check_predict(kind, batch, points, layout, seed)
 
@@ -117,13 +129,13 @@ def _check_predict(kind, batch, points, layout, seed):
         with pytest.raises(ValueError) as got:
             net.predict(x)
         with pytest.raises(ValueError) as want:
-            net.forward(Tensor(x), train=False)
+            _chained(net, x)
         assert str(got.value) == str(want.value)
         return
     got = net.predict(x)
     assert _same(x, before) and x.flags.writeable == (layout != "readonly")
     assert all(l.last_tie_count == -1 for l in net.layers if isinstance(l, MaxPool))
-    assert _same(got, net.forward(Tensor(x), train=False).data)
+    assert _same(got, _chained(net, x))
 
 
 def test_encoder_predict_working_set_is_bounded():
@@ -158,7 +170,7 @@ def test_inference_callers_build_no_tensor(monkeypatch):
     partial_ae = Autoencoder(AutoencoderSpec(n=16, k=K), rng.spawn(1))
     gen = build_generator(GanSpec(k=K), rng.spawn(2))
     clouds = rng.normal((4, 16, 3)) * 0.3
-    want = ae.forward_batch(Tensor(clouds), train=False).data
+    want = _chained(ae.decoder, _chained(ae.encoder, clouds)).reshape(clouds.shape)
 
     count = _counting_tensors(monkeypatch)
     assert _same(ae.reconstruct(clouds), want)

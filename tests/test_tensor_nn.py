@@ -187,7 +187,7 @@ def test_root_keeps_its_upstream_unchanged():
     # so as a root it must receive a copy of the caller's array.
     rng = Rng(36)
     net = Network([PointwiseDense(3, 4, rng), BatchNorm(4), ReLU()])
-    out = net.forward(Tensor(rng.normal((2, 5, 3))), train=True)
+    out = net.forward(Tensor(rng.normal((2, 5, 3))))
     up = rng.normal((2, 5, 4))
     kept = up.copy()
     out.backward(up)
@@ -235,7 +235,7 @@ def test_point_block_read_only_sum_gradient_matches_explicit_upstream():
         bn.beta.data = rng.normal(4)  # some outputs positive, some masked
         net = Network([dense, bn, ReLU()])
         x = Tensor(x0.copy())
-        out = net.forward(x, train=True)
+        out = net.forward(x)
         if upstream:
             out.backward(np.ones_like(out.data))
         else:
@@ -302,12 +302,12 @@ def test_batchnorm_infer_independent_of_batch_composition():
     for _ in range(3):  # accumulate some running stats
         bn.forward(Tensor(rng.normal((10, 4))), train=True)
     a = rng.normal((6, 4))
-    full = bn.forward(Tensor(a), train=False).data
-    half = bn.forward(Tensor(a[:2]), train=False).data
+    full = bn.predict(a)
+    half = bn.predict(a[:2])
     assert np.array_equal(full[:2], half)
-    # and infer mode must not move the running stats
+    # and predict must not move the running stats
     m0 = bn.running_mean.copy()
-    bn.forward(Tensor(rng.normal((5, 4))), train=False)
+    bn.predict(rng.normal((5, 4)))
     assert np.array_equal(bn.running_mean, m0)
 
 
@@ -321,18 +321,14 @@ def test_batchnorm_3d_statistics_over_batch_and_points():
 
 
 def test_batchnorm_gradients_train_and_infer():
-    # train mode couples every batch element through the statistics, so the
-    # check exercises the full mu/var backward, not just the affine part
-    # with a ReLU after it, the triple runs as one fused node
-    for train, tail in ((True, []), (False, []), (True, [ReLU()]), (False, [ReLU()])):
+    # the batch statistics couple every batch element, so the check
+    # exercises the full mu/var backward, not just the affine part; with a
+    # ReLU after it, the triple runs as one fused node.  Only the train
+    # arithmetic is differentiable: inference runs through predict.
+    for tail in ([], [ReLU()]):
         net = Network([PointwiseDense(3, 6, Rng(43)), BatchNorm(6)] + tail)
-        if not train:
-            # give the running stats some life, then freeze
-            net.forward(Tensor(Rng(44).normal((4, 5, 3))), train=True)
-        res = grad_check(
-            net, lambda out: (out**2.0).mean(), Rng(45).normal((4, 5, 3)), train=train
-        )
-        assert res.max_rel_err < 1e-4, (train, res.max_rel_err)
+        res = grad_check(net, lambda out: (out**2.0).mean(), Rng(45).normal((4, 5, 3)))
+        assert res.max_rel_err < 1e-4, (tail, res.max_rel_err)
 
 
 def test_maxpool_permutation_invariance_and_tie_flag():
@@ -351,7 +347,7 @@ def test_network_forward_names_nonfinite_layer():
     net = Network([Dense(2, 2, Rng(0))], name="probe")
     net.layers[0].w.data[:] = np.inf
     with pytest.raises(FloatingPointError, match="layer 0 .*dense.* probe"):
-        net.forward(Tensor(np.ones((1, 2))), train=True)
+        net.forward(Tensor(np.ones((1, 2))))
 
 
 def _poison(layer, attr, value):
@@ -367,7 +363,7 @@ def _triple(dense_bias=0.0, gamma=1.0, beta=0.0):
     ]
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("call", ["forward", "predict"])
 @pytest.mark.parametrize(
     "layers, x, expect",
     [
@@ -381,7 +377,7 @@ def _triple(dense_bias=0.0, gamma=1.0, beta=0.0):
         (lambda: [ReLU()], np.full((1, 2), np.nan), "layer 0 .*relu"),
         (lambda: [ReLU(), Dense(2, 2, Rng(0))], np.full((1, 2), np.nan), "layer 0 .*relu"),
         # inside a fused PointwiseDense -> BatchNorm -> ReLU block: the dense
-        # output, and BatchNorm outputs that are NaN (train) or +-inf (infer),
+        # output, and BatchNorm outputs that are NaN (forward) or +-inf (predict),
         # or -inf, which the block's ReLU would zero
         (lambda: _triple(dense_bias=-np.inf), np.ones((1, 4, 3)), "layer 0 .*pointwise"),
         (lambda: _triple(gamma=np.inf), np.ones((1, 4, 3)), "layer 1 .*batchnorm"),
@@ -389,12 +385,12 @@ def _triple(dense_bias=0.0, gamma=1.0, beta=0.0):
         (lambda: _triple(beta=-np.inf) + [MaxPool()], np.ones((1, 4, 3)), "layer 1 .*batchnorm"),
     ],
 )
-def test_network_forward_nonfinite_not_masked_by_later_layers(layers, x, expect, mode):
+def test_network_forward_nonfinite_not_masked_by_later_layers(layers, x, expect, call):
     net = Network(layers(), name="probe")
-    # predict runs the infer arithmetic and names the same layer
-    for run in (lambda: net.forward(Tensor(x), train=mode == "train"), lambda: net.predict(x)):
-        with pytest.raises(FloatingPointError, match=expect + ".* probe"), np.errstate(invalid="ignore"):
-            run()
+    # forward (batch statistics) and predict (running statistics) name the same layer
+    run = {"forward": lambda: net.forward(Tensor(x)), "predict": lambda: net.predict(x)}[call]
+    with pytest.raises(FloatingPointError, match=expect + ".* probe"), np.errstate(invalid="ignore"):
+        run()
 
 
 def test_batchnorm_infer_bit_identical_to_formula():
@@ -407,7 +403,7 @@ def test_batchnorm_infer_bit_identical_to_formula():
     x = rng.normal((3, 7, 5)) * 2.0
     inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
     expected = ((x - bn.running_mean) * inv) * bn.gamma.data + bn.beta.data
-    assert np.array_equal(bn.forward(Tensor(x), train=False).data, expected)
+    assert np.array_equal(bn.predict(x), expected)
 
 
 def test_dense_is_one_node_bit_identical_to_matmul_plus_bias():
@@ -541,7 +537,7 @@ def test_adam_rejects_state_of_another_size_unchanged():
 
 def test_grad_check_encoder_stack():
     net = Network([PointwiseDense(3, 8, Rng(51)), BatchNorm(8), ReLU(), MaxPool()])
-    res = grad_check(net, lambda out: (out**2.0).sum(), Rng(52).normal((2, 6, 3)), train=True)
+    res = grad_check(net, lambda out: (out**2.0).sum(), Rng(52).normal((2, 6, 3)))
     assert res.max_rel_err < 1e-4
     assert res.n_checked == net.param_vector().size
 
@@ -553,7 +549,6 @@ def test_grad_check_emd_objective():
         net,
         lambda out: emd_loss(out.reshape(2, 6, 3), target),
         Rng(55).normal((2, 4)),
-        train=True,
     )
     assert res.max_rel_err < 1e-4
 
@@ -565,23 +560,22 @@ def test_grad_check_soft_hausdorff_objective():
         net,
         lambda out: soft_hausdorff_loss(src, out.reshape(2, 6, 3), tau=0.01),
         Rng(58).normal((2, 4)),
-        train=True,
     )
     assert res.max_rel_err < 1e-4
 
 
 def test_grad_check_skips_maxpool_tie():
     net = Network([MaxPool()])
-    res = grad_check(net, lambda out: out.sum(), np.ones((1, 4, 2)), train=True)
+    res = grad_check(net, lambda out: out.sum(), np.ones((1, 4, 2)))
     assert res.skipped == ["maxpool: skipped (nondifferentiable point)"]
 
 
 def test_grad_check_restores_batchnorm_stats():
     net = Network([PointwiseDense(3, 4, Rng(59)), BatchNorm(4)])
     bn = net.layers[1]
-    net.forward(Tensor(Rng(60).normal((3, 5, 3))), train=True)
+    net.forward(Tensor(Rng(60).normal((3, 5, 3))))
     m0, v0 = bn.running_mean.copy(), bn.running_var.copy()
-    grad_check(net, lambda out: out.sum(), Rng(61).normal((3, 5, 3)), train=True)
+    grad_check(net, lambda out: out.sum(), Rng(61).normal((3, 5, 3)))
     assert np.array_equal(bn.running_mean, m0)
     assert np.array_equal(bn.running_var, v0)
 
@@ -607,7 +601,7 @@ def _load_toy(path, **kwargs):
 
 def test_checkpoint_round_trip(tmp_path):
     net = _toy_net()
-    net.forward(Tensor(Rng(62).normal((2, 5, 3))), train=True)  # move BN stats off init
+    net.forward(Tensor(Rng(62).normal((2, 5, 3))))  # move BN stats off init
     path = tmp_path / "ck.json"
     _save_toy(path, net, seed=7)
     bundle = _load_toy(path, expect_kind="test")
@@ -625,7 +619,7 @@ def test_checkpoint_loader_ignores_stored_adam_state(tmp_path):
     import json as _json
 
     net = _toy_net()
-    net.forward(Tensor(Rng(63).normal((2, 5, 3))), train=True)
+    net.forward(Tensor(Rng(63).normal((2, 5, 3))))
     path = tmp_path / "ck.json"
     _save_toy(path, net)
     doc = _json.loads(path.read_text())
