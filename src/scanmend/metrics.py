@@ -133,17 +133,9 @@ def evaluate_completions(completions, gts, eps: float = DEFAULT_EPS) -> MetricsR
         acc = 100.0 * float((d.min(axis=1) <= eps).mean())
         com = 100.0 * float((d.min(axis=0) <= eps).mean())
         hd = max(float(hausdorff_from_sq(d2)), float(hausdorff_from_sq(d2.T)))
-        rows.append(
-            {
-                "index": i,
-                "accuracy": acc,
-                "completeness": com,
-                "f1": f1(acc, com),
-                "emd": emd_from_dist(d)[0] if c.shape[0] == g.shape[0] else float("nan"),
-                "chamfer": chamfer_from_sq(d2),
-                "hausdorff_sym": hd,
-            }
-        )
+        emd = emd_from_dist(d)[0] if c.shape[0] == g.shape[0] else float("nan")
+        values = (acc, com, f1(acc, com), emd, chamfer_from_sq(d2), hd)
+        rows.append({"index": i, **dict(zip(MetricsReport.COLUMNS, values))})
     aggregate = {
         col: float(np.mean([r[col] for r in rows])) for col in MetricsReport.COLUMNS
     }

@@ -119,10 +119,11 @@ class Bundle:
     content_hash: str = ""
 
 
-def load_bundle(path, spec_key: str, build, expect_kind: str | None = None) -> Bundle:
-    """The bundle at `path`, its networks the ones that build(extra[spec_key])
-    returns by name (TypeError or ValueError if the spec is bad), each filled
-    from the stored section whose layer specs and hash equal its own."""
+def load_bundle(path, spec_key: str, build, expect_kind: str) -> Bundle:
+    """The bundle of kind `expect_kind` at `path`, its networks the ones that
+    build(extra[spec_key]) returns by name (TypeError or ValueError if the
+    spec is bad), each filled from the stored section whose layer specs and
+    hash equal its own."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
@@ -135,7 +136,7 @@ def load_bundle(path, spec_key: str, build, expect_kind: str | None = None) -> B
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')!r}")
     kind = _entry(doc, "kind", path)
-    if expect_kind is not None and kind != expect_kind:
+    if kind != expect_kind:
         raise CheckpointError(f"{path}: kind {kind!r}, expected {expect_kind!r}")
     seed = _entry(doc, "seed", path)
     networks = _entry(doc, "networks", path)

@@ -6,6 +6,8 @@ and backs) are built as triangle meshes, scanned into clean clouds by
 orthographic ray casting from cameras surrounding the model, and corrupted
 into partials by removing a contiguous nearest-neighbor patch, adding
 Gaussian noise, and duplicating surviving points back to the original count.
+A family is one FAMILIES entry, which holds its parameter ranges and its
+mesh builder.
 
 All shapes are canonically oriented: z up, backs toward +y.  Randomness is
 fully determined by (seed, instance id), so synthesis order does not matter.
@@ -16,7 +18,8 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,20 +125,53 @@ def _ellipsoid(radii, lat: int = 10, lon: int = 18) -> Mesh:
     return Mesh(np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64))
 
 
+def _legs(w: float, d: float, s: float, top: float) -> list:
+    corners = [(-w / 2, -d / 2), (w / 2 - s, -d / 2), (-w / 2, d / 2 - s), (w / 2 - s, d / 2 - s)]
+    return [_box([x, y, 0.0], [x + s, y + s, top]) for x, y in corners]
+
+
+def _table4(p: dict) -> Mesh:
+    w, d, h, t = p["width"], p["depth"], p["height"], p["top_t"]
+    top = _box([-w / 2, -d / 2, h - t], [w / 2, d / 2, h])
+    return _merge([top, *_legs(w, d, p["leg_s"], h - t)])
+
+
+def _chair5(p: dict) -> Mesh:
+    w, d, h, t = p["seat_w"], p["seat_d"], p["seat_h"], p["seat_t"]
+    seat = _box([-w / 2, -d / 2, h - t], [w / 2, d / 2, h])
+    back = _box([-w / 2, d / 2 - p["back_t"], h], [w / 2, d / 2, h + p["back_h"]])
+    return _merge([seat, back, *_legs(w, d, p["leg_s"], h - t)])
+
+
+def _lampoid(p: dict) -> Mesh:
+    top = 0.05 + p["pole_h"]
+    return _merge([
+        _cylinder((0.0, 0.0), 0.0, 0.05, p["base_r"]),
+        _cylinder((0.0, 0.0), 0.05, top, p["pole_r"], segments=12),
+        _cylinder((0.0, 0.0), top, top + p["shade_h"], p["shade_r"]),
+    ])
+
+
 @dataclass(frozen=True)
 class ShapeFamily:
-    name: str
     ranges: dict  # param name -> (lo, hi)
+    build: Callable[[dict], Mesh]  # params within ranges -> mesh
 
 
 FAMILIES = {
-    "box": ShapeFamily("box", {"hx": (0.3, 1.0), "hy": (0.3, 1.0), "hz": (0.3, 1.0)}),
-    "cylinder": ShapeFamily("cylinder", {"radius": (0.2, 0.8), "height": (0.6, 2.0)}),
+    "box": ShapeFamily(
+        {"hx": (0.3, 1.0), "hy": (0.3, 1.0), "hz": (0.3, 1.0)},
+        lambda p: _box([-p["hx"], -p["hy"], -p["hz"]], [p["hx"], p["hy"], p["hz"]]),
+    ),
+    "cylinder": ShapeFamily(
+        {"radius": (0.2, 0.8), "height": (0.6, 2.0)},
+        lambda p: _cylinder((0.0, 0.0), 0.0, p["height"], p["radius"]),
+    ),
     "ellipsoid": ShapeFamily(
-        "ellipsoid", {"rx": (0.3, 1.0), "ry": (0.3, 1.0), "rz": (0.3, 1.0)}
+        {"rx": (0.3, 1.0), "ry": (0.3, 1.0), "rz": (0.3, 1.0)},
+        lambda p: _ellipsoid((p["rx"], p["ry"], p["rz"])),
     ),
     "table4": ShapeFamily(
-        "table4",
         {
             "width": (0.9, 1.5),
             "depth": (0.7, 1.2),
@@ -143,9 +179,9 @@ FAMILIES = {
             "top_t": (0.05, 0.12),
             "leg_s": (0.05, 0.1),
         },
+        _table4,
     ),
     "chair5": ShapeFamily(
-        "chair5",
         {
             "seat_w": (0.8, 1.2),
             "seat_d": (0.7, 1.1),
@@ -155,9 +191,9 @@ FAMILIES = {
             "back_t": (0.05, 0.09),
             "leg_s": (0.06, 0.11),
         },
+        _chair5,
     ),
     "lampoid": ShapeFamily(
-        "lampoid",
         {
             "base_r": (0.15, 0.3),
             "pole_r": (0.03, 0.06),
@@ -165,64 +201,31 @@ FAMILIES = {
             "shade_r": (0.18, 0.38),
             "shade_h": (0.2, 0.4),
         },
+        _lampoid,
     ),
 }
 
 
-def sample_params(family: str, rng: Rng) -> dict:
-    fam = FAMILIES.get(family)
+def _family(name: str) -> ShapeFamily:
+    fam = FAMILIES.get(name)
     if fam is None:
-        raise ValueError(f"unknown shape family {family!r}")
-    return {
-        name: lo + (hi - lo) * rng.uniform() for name, (lo, hi) in sorted(fam.ranges.items())
-    }
+        raise ValueError(f"unknown shape family {name!r}")
+    return fam
+
+
+def sample_params(family: str, rng: Rng) -> dict:
+    ranges = sorted(_family(family).ranges.items())
+    return {name: lo + (hi - lo) * rng.uniform() for name, (lo, hi) in ranges}
 
 
 def build_mesh(family: str, params: dict) -> Mesh:
-    fam = FAMILIES.get(family)
-    if fam is None:
-        raise ValueError(f"unknown shape family {family!r}")
+    fam = _family(family)
     for name, (lo, hi) in fam.ranges.items():
         if name not in params:
             raise ValueError(f"{family}: missing parameter {name!r}")
         if not lo <= params[name] <= hi:
             raise ValueError(f"{family}: parameter {name}={params[name]} outside [{lo}, {hi}]")
-    p = params
-    if family == "box":
-        return _box([-p["hx"], -p["hy"], -p["hz"]], [p["hx"], p["hy"], p["hz"]])
-    if family == "cylinder":
-        return _cylinder((0.0, 0.0), 0.0, p["height"], p["radius"])
-    if family == "ellipsoid":
-        return _ellipsoid((p["rx"], p["ry"], p["rz"]))
-    if family == "table4":
-        w, d, h, t, s = p["width"], p["depth"], p["height"], p["top_t"], p["leg_s"]
-        parts = [_box([-w / 2, -d / 2, h - t], [w / 2, d / 2, h])]
-        parts += _legs(w, d, s, h - t)
-        return _merge(parts)
-    if family == "chair5":
-        w, d, h, t = p["seat_w"], p["seat_d"], p["seat_h"], p["seat_t"]
-        parts = [_box([-w / 2, -d / 2, h - t], [w / 2, d / 2, h])]
-        parts.append(_box([-w / 2, d / 2 - p["back_t"], h], [w / 2, d / 2, h + p["back_h"]]))
-        parts += _legs(w, d, p["leg_s"], h - t)
-        return _merge(parts)
-    if family == "lampoid":
-        parts = [
-            _cylinder((0.0, 0.0), 0.0, 0.05, p["base_r"]),
-            _cylinder((0.0, 0.0), 0.05, 0.05 + p["pole_h"], p["pole_r"], segments=12),
-            _cylinder(
-                (0.0, 0.0),
-                0.05 + p["pole_h"],
-                0.05 + p["pole_h"] + p["shade_h"],
-                p["shade_r"],
-            ),
-        ]
-        return _merge(parts)
-    raise ValueError(f"unknown shape family {family!r}")
-
-
-def _legs(w: float, d: float, s: float, top: float) -> list:
-    corners = [(-w / 2, -d / 2), (w / 2 - s, -d / 2), (-w / 2, d / 2 - s), (w / 2 - s, d / 2 - s)]
-    return [_box([x, y, 0.0], [x + s, y + s, top]) for x, y in corners]
+    return fam.build(params)
 
 
 # ---- virtual scanning ----
@@ -260,7 +263,7 @@ class Camera:
     """Orthographic camera: a res x res grid of parallel rays along `direction`."""
 
     direction: tuple
-    res: int = 48
+    res: int
 
     def __post_init__(self):
         if isinstance(self.res, bool) or not isinstance(self.res, numbers.Integral) or self.res < 1:
@@ -287,7 +290,7 @@ def camera_rays(cameras: list, center: np.ndarray, radius: float) -> RayGrid:
     return RayGrid(center - d * (2.0 * radius), d, bu, bv, span)
 
 
-def cube_corner_cameras(res: int = 48) -> list:
+def cube_corner_cameras(res: int) -> list:
     dirs = []
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
@@ -437,12 +440,10 @@ def virtual_scan(mesh: Mesh, cameras: list) -> PointSet:
     return PointSet(rays.origins[hit] + t[hit][:, None] * rays.direction[cam])
 
 
-def generate_shape(family: str, params: dict | None, n: int, rng: Rng, scan_res: int = 48):
+def generate_shape(family: str, params: dict, n: int, rng: Rng, scan_res: int):
     """Mesh + clean cloud: scan, farthest-point downsample to n, normalize."""
     if n < 8:
         raise ValueError(f"n must be >= 8, got {n}")
-    if params is None:
-        params = sample_params(family, rng)
     mesh = build_mesh(family, params)
     dense = virtual_scan(mesh, cube_corner_cameras(scan_res))
     if dense.n < n:
@@ -512,17 +513,18 @@ class DatasetConfig:
     (used when training across incompleteness levels).  `total` instances are
     split train/test by `train_fraction` (floor); the train side is divided
     into disjoint clean and partial halves so no training correspondence
-    exists.
+    exists.  No field has a default: the presets in config.py hold the only
+    copy of each setting.
     """
 
     families: tuple
-    n: int = 128
-    total: int = 100
-    train_fraction: float = 0.9
-    r: object = 0.25
-    sigma: float = 0.01
-    seed: int = 0
-    scan_resolution: int = 48
+    n: int
+    total: int
+    train_fraction: float
+    r: object
+    sigma: float
+    seed: int
+    scan_resolution: int
 
     def r_range(self) -> tuple:
         if isinstance(self.r, (tuple, list)):
@@ -568,8 +570,7 @@ def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
     if not cfg.families:
         raise ValueError("family list must be non-empty")
     for fam in cfg.families:
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown shape family {fam!r}")
+        _family(fam)
     lo, hi = cfg.r_range()
     root = Rng(cfg.seed)
     clean = np.empty((cfg.total, cfg.n, 3))
@@ -594,14 +595,10 @@ def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
     clean_ids = np.sort(order[:n_clean])
     partial_ids = np.sort(order[n_clean:n_train])
     test_ids = np.sort(order[n_train:])
-    clean_set, partial_set = set(clean_ids.tolist()), set(partial_ids.tolist())
-    for i, rec in enumerate(records):
-        if i in clean_set:
-            rec["split"] = "clean_train"
-        elif i in partial_set:
-            rec["split"] = "partial_train"
-        else:
-            rec["split"] = "test"
+    splits = {"clean_train": clean_ids, "partial_train": partial_ids, "test": test_ids}
+    for split, ids in splits.items():
+        for i in ids:
+            records[i]["split"] = split
 
     def corrupt_ids(ids) -> np.ndarray:
         out = np.empty((len(ids), cfg.n, 3))
@@ -612,15 +609,10 @@ def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
         return out
 
     manifest = {
+        **asdict(cfg),
         "version": MANIFEST_VERSION,
-        "seed": cfg.seed,
         "families": list(cfg.families),
-        "n": cfg.n,
-        "total": cfg.total,
-        "train_fraction": cfg.train_fraction,
         "r": [lo, hi],
-        "sigma": cfg.sigma,
-        "scan_resolution": cfg.scan_resolution,
         "instances": records,
     }
     return Dataset(
@@ -635,7 +627,9 @@ def make_dataset(cfg: DatasetConfig, threads: int = 1) -> Dataset:
 
 # ---- disk layout ----
 
-_SPLIT_DIRS = ("clean_train", "partial_train", "clean_test", "partial_test", "partial_train_gt")
+# Split directory -> the manifest split of the records whose clouds it holds.
+_SPLIT_DIRS = {"clean_train": "clean_train", "partial_train": "partial_train",
+               "clean_test": "test", "partial_test": "test", "partial_train_gt": "partial_train"}
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
@@ -653,8 +647,10 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 def load_dataset(in_dir) -> Dataset:
     """The dataset that save_dataset wrote to `in_dir`.  FileNotFoundError
     when it has no manifest; one ValueError naming the file or directory when
-    the manifest is not a JSON object of this version with an int n, a split
-    directory is missing, or a PLY file does not hold n points."""
+    the manifest is not a JSON object of this version with an int n and a
+    list of instance records with known splits, a split directory is missing
+    or holds another number of PLY files than the manifest has records for
+    it, or a PLY file does not hold n points."""
     path = os.path.join(in_dir, "manifest.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no dataset manifest at {path}")
@@ -668,13 +664,22 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"{path}: not a dataset manifest with a positive int n")
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
+    records = manifest.get("instances")
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) and rec.get("split") in _SPLIT_DIRS.values() for rec in records
+    ):
+        raise ValueError(f"{path}: instances is not a list of records with a known split")
     parts = {}
-    for split in _SPLIT_DIRS:
+    for split, record_split in _SPLIT_DIRS.items():
         d = os.path.join(in_dir, split)
         if not os.path.isdir(d):
             raise ValueError(f"{d}: dataset split directory is missing")
+        names = sorted(fn for fn in os.listdir(d) if fn.endswith(".ply"))
+        want = sum(rec["split"] == record_split for rec in records)
+        if len(names) != want:
+            raise ValueError(f"{d}: {len(names)} PLY files, but the manifest lists {want}")
         clouds = []
-        for fn in sorted(fn for fn in os.listdir(d) if fn.endswith(".ply")):
+        for fn in names:
             cloud = read_ply(os.path.join(d, fn)).points
             if len(cloud) != n:
                 raise ValueError(f"{os.path.join(d, fn)}: point count {len(cloud)}, manifest n {n}")

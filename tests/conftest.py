@@ -21,10 +21,10 @@ def pytest_collection_modifyitems(items):
     """Run the tests that share the desk-scale ``chain`` fixture last, and
     mark them ``chain``.
 
-    That fixture trains both autoencoders and every GAN mode (about half an
-    hour on one core), so ordering it after everything else lets a run that
-    is cut short still report every other test, and ``-m "not chain"``
-    selects everything else.
+    That fixture trains both autoencoders and every GAN mode (its set-up took
+    845 s in one full run on a 2-vCPU VM), so ordering it after everything
+    else lets a run that is cut short still report every other test, and
+    ``-m "not chain"`` selects everything else.
     """
     for item in items:
         if _uses_chain(item):

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,9 +27,10 @@ from scanmend.config import (
     resolve_config,
     validate_config,
 )
-from scanmend.autoencoder import load_autoencoder
+from scanmend.autoencoder import AeTrainConfig, load_autoencoder
 from scanmend.gan import (
     GanSpec,
+    GanTrainConfig,
     GanTrainResult,
     TrainingMode,
     assemble_pipeline,
@@ -39,7 +41,7 @@ from scanmend.gan import (
 from scanmend.ply import read_ply, write_ply
 from scanmend.pointset import PointSet
 from scanmend.rng import Rng
-from scanmend.synth import FAMILIES
+from scanmend.synth import FAMILIES, DatasetConfig
 
 
 # ---- config resolution ----
@@ -70,6 +72,26 @@ def test_overlay_and_preset_precedence():
     assert cfg["dataset"]["families"] == ["chair5"]
     with pytest.raises(ConfigError, match="unknown preset"):
         resolve_config(preset="warehouse-scale")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("paper-scale", "1212e79cfa1832d45832181f8b9280539fc0dd1a4c10aec842d687e52bf905ce"),
+    ("desk-scale", "850601240d0a2b3f0bfe2602100aa4ca4fcf9871d3446641d093e3cba33c7a6a"),
+    ("toy-chairs", "363d9d2df88a87d571062f0c9ee46622a57a680d7c2bdb5aeee9b11633eb9853"),
+])
+def test_resolved_preset_bytes_pinned(name, digest):
+    # The bytes config.resolved.json receives for an empty config.
+    text = json.dumps(resolve_config(preset=name), sort_keys=True, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_schema_keys_are_the_fields_they_configure():
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(SCHEMA["dataset"]) == fields(DatasetConfig)
+    assert set(SCHEMA["ae"]) == fields(AeTrainConfig) | {"k", "linear"}
+    assert set(SCHEMA["gan"]) == fields(GanTrainConfig) - {"gan_loss"} | {"mode"}
 
 
 @pytest.mark.parametrize(
@@ -429,7 +451,11 @@ def test_malformed_ply_is_reported(micro_run, tmp_path, capsys):
     ("manifest.json", lambda path: path.write_text('{"version": 1, "n": "16"}')),
     ("clean_test", shutil.rmtree),
     ("clean_train/0000.ply", lambda path: write_ply(path, PointSet(np.zeros((1, 3))))),
-], ids=["not-json", "list", "no-n", "string-n", "missing-split", "one-point-ply"])
+    ("clean_test", lambda path: (path / "0001.ply").unlink()),
+    ("manifest.json",
+     lambda path: path.write_text('{"version": 1, "n": 16, "instances": [{"split": "train"}]}')),
+], ids=["not-json", "list", "no-n", "string-n", "missing-split", "one-point-ply", "missing-ply",
+        "bad-instances"])
 def test_damaged_dataset_is_one_line_naming_the_file(micro_run, tmp_path, capsys, rel, damage):
     run = tmp_path / "run"
     shutil.copytree(micro_run["run"], run)

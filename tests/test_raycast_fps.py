@@ -360,7 +360,9 @@ def test_make_dataset_output_pinned():
         families=("box", "cylinder", "ellipsoid", "table4", "chair5", "lampoid"),
         n=48,
         total=12,
+        train_fraction=0.9,
         r=(0.1, 0.5),
+        sigma=0.01,
         seed=5,
         scan_resolution=20,
     )

@@ -117,13 +117,14 @@ def test_camera_rejects_bad_res(res):
 
 
 def test_generate_shape_contract():
-    mesh, cloud = generate_shape("box", None, 64, Rng(3), scan_res=24)
+    rng = Rng(3)
+    mesh, cloud = generate_shape("box", sample_params("box", rng), 64, rng, scan_res=24)
     assert cloud.n == 64
     radii = np.sqrt((cloud.points**2).sum(axis=1))
     assert abs(radii.max() - 1.0) < 1e-9
     assert np.allclose(cloud.points.mean(axis=0), 0.0, atol=1e-9)
     with pytest.raises(ValueError, match="n must be"):
-        generate_shape("box", None, 4, Rng(0))
+        generate_shape("box", sample_params("box", Rng(0)), 4, Rng(0), scan_res=24)
 
 
 def test_generate_box_shows_all_six_faces():

@@ -594,9 +594,9 @@ def _save_toy(path, net, seed=0):
     save_bundle(path, {"enc": net}, kind="test", seed=seed, extra={"width": net.layers[1].width})
 
 
-def _load_toy(path, **kwargs):
+def _load_toy(path, expect_kind="test"):
     """Load a _toy_net checkpoint into a network built from its stored width."""
-    return load_bundle(path, "width", lambda width: {"enc": _toy_net(width)}, **kwargs)
+    return load_bundle(path, "width", lambda width: {"enc": _toy_net(width)}, expect_kind)
 
 
 def test_checkpoint_round_trip(tmp_path):
