@@ -8,14 +8,17 @@ lies in [0, 1]); a high value against the repeated-single-cloud reference
 indicates mode collapse.  Everything assumes unit-sphere-normalized clouds
 and epsilon defaults to 0.03 in those units.
 
-evaluate_completions scores each pair from one matrix: d2 = cdist(c, g,
-"sqeuclidean") and d = sqrt(d2).  Accuracy takes the row minima of d,
-completeness its column minima, Chamfer and both directed Hausdorff terms
-come from d2, and EMD from d.  The scores equal those of the per-pair
-formulas (six cdist calls) bit for bit, because of two identities of scipy's
-cdist that tests/test_metrics.py pins: the euclidean metric equals the sqrt
-of the sqeuclidean one, and cdist(g, c) equals cdist(c, g).T.  Minima and
-maxima are exact, so reading them off either orientation changes nothing.
+evaluate_completions scores each pair from one matrix, d2 = cdist(c, g,
+"sqeuclidean"), and its row and column minima, to_g and to_c, each taken
+once.  Accuracy and completeness count the roots of to_g and to_c within
+epsilon, the directed Hausdorff terms are the roots of their maxima, Chamfer
+is the sum of their means, and only EMD takes sqrt(d2), when the counts
+match.  The scores equal those of the per-pair formulas (six cdist calls)
+bit for bit, because of two identities of scipy's cdist that
+tests/test_metrics.py pins (the euclidean metric equals the sqrt of the
+sqeuclidean one, and cdist(g, c) equals cdist(c, g).T), and because minima
+and maxima are exact and a correctly rounded sqrt is monotone: the root of a
+minimum is the minimum of the roots.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .distances import chamfer_from_sq, emd_from_dist, hausdorff_from_sq
+from .distances import emd_from_dist
 from .pointset import PointSet
 from .rng import Rng
 from .synth import CorruptionSpec, corrupt
@@ -129,12 +132,12 @@ def evaluate_completions(completions, gts, eps: float = DEFAULT_EPS) -> MetricsR
         if c.shape[0] == 0 or g.shape[0] == 0:
             raise ValueError("evaluation needs non-empty point sets")
         d2 = cdist(c, g, "sqeuclidean")
-        d = np.sqrt(d2)
-        acc = 100.0 * float((d.min(axis=1) <= eps).mean())
-        com = 100.0 * float((d.min(axis=0) <= eps).mean())
-        hd = max(float(hausdorff_from_sq(d2)), float(hausdorff_from_sq(d2.T)))
-        emd = emd_from_dist(d)[0] if c.shape[0] == g.shape[0] else float("nan")
-        values = (acc, com, f1(acc, com), emd, chamfer_from_sq(d2), hd)
+        to_g, to_c = d2.min(axis=1), d2.min(axis=0)
+        acc = 100.0 * float((np.sqrt(to_g) <= eps).mean())
+        com = 100.0 * float((np.sqrt(to_c) <= eps).mean())
+        hd = max(float(np.sqrt(to_g.max())), float(np.sqrt(to_c.max())))
+        emd = emd_from_dist(np.sqrt(d2))[0] if c.shape[0] == g.shape[0] else float("nan")
+        values = (acc, com, f1(acc, com), emd, float(to_g.mean() + to_c.mean()), hd)
         rows.append({"index": i, **dict(zip(MetricsReport.COLUMNS, values))})
     aggregate = {
         col: float(np.mean([r[col] for r in rows])) for col in MetricsReport.COLUMNS

@@ -2,17 +2,19 @@
 
 A Network is an ordered list of layer records; each run of consecutive
 PointwiseDense -> BatchNorm -> ReLU triples in it runs as one fused
-PointBlock: in forward as one node that saves only each triple's x-hat and
-recomputes the triples' outputs in backward (see there for the buffers it
-owns and overwrites), and in predict as fused steps.  Weights are float64
-Tensors; batchnorm running statistics are plain arrays.  A network holds no
-run mode, and each path has one arithmetic.  `forward(x)` builds autodiff
-nodes for training: BatchNorm normalizes by batch statistics and updates
-the running statistics.  `predict`, for inference, normalizes by the
-running statistics on plain arrays, builds no node, and writes only into
-arrays it allocated, never into its input, even when the first layer is a
-ReLU or a BatchNorm.  A layer's `forward` still takes a `train` flag, for
-the benchmark's tracer; Network passes True and no layer reads it.
+PointBlock: in forward as one node that saves only each triple's x-hat,
+builds each triple's output one tile of whole clouds at a time, and
+recomputes the outputs in backward (see there for the buffers it owns and
+overwrites), and in predict as fused steps over the same tiles.  Weights
+are float64 Tensors; batchnorm running statistics are plain arrays.  A
+network holds no run mode, and each path has one arithmetic.  `forward(x)`
+builds autodiff nodes for training: BatchNorm normalizes by batch
+statistics and updates the running statistics.  `predict`, for inference,
+normalizes by the running statistics on plain arrays, builds no node, and
+writes only into arrays it allocated, never into its input, even when the
+first layer is a ReLU or a BatchNorm.  A layer's `forward` still takes a
+`train` flag, for the benchmark's tracer; Network passes True and no layer
+reads it.
 `frozen()` gives a view of a network whose parameters are constants (see
 nn.tensor), to differentiate through it without training it.
 Initialization is seed-controlled: Kaiming-uniform ahead of ReLU, Xavier
@@ -36,7 +38,7 @@ from .tensor import Tensor, affine, affine_backward
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
-_TILE_ROWS = 512  # rows per PointBlock.predict tile: 1 MiB at the encoder's widest layer
+_TILE_ROWS = 512  # rows per PointBlock tile (forward and predict): 1 MiB at the widest layer
 
 
 def _init_weight(n_in: int, n_out: int, scheme: str, rng: Rng | None) -> np.ndarray:
@@ -247,6 +249,26 @@ class MaxPool:
         return out
 
 
+def _cloud_tiles(x: np.ndarray) -> list:
+    """Slices of x's clouds that a point block runs as tiles: whole clouds
+    of at most _TILE_ROWS rows, or one cloud when a cloud has more.  An x
+    that is not (clouds, points, features), or whose clouds have one point,
+    is one tile of all of it (see PointBlock)."""
+    if x.ndim != 3 or x.shape[1] < 2:
+        return [slice(None)]
+    per = max(_TILE_ROWS // x.shape[1], 1)
+    return [slice(s, s + per) for s in range(0, len(x), per)] or [slice(None)]
+
+
+def _bn_relu(bn: BatchNorm, xhat: np.ndarray, check, i: int) -> np.ndarray:
+    """max(xhat * gamma + beta, 0) in a new array, raising through `check`
+    when the BatchNorm output, layer i, is not finite.  ReLU maps finite
+    values to finite values, so its output needs no scan."""
+    y = bn.scale_shift(xhat)
+    check(y, i)
+    return np.maximum(y, 0.0, out=y)
+
+
 class PointBlock:
     """A run of consecutive PointwiseDense -> BatchNorm -> ReLU triples as
     one graph node of a forward, or as predict's fused steps.
@@ -262,89 +284,110 @@ class PointBlock:
 
     forward keeps only the run's flattened input and each triple's
     x-hat, which it normalizes in place in the GEMM output, and `inv`.  A
-    triple's output, max(x-hat * gamma + beta, 0), is dropped as soon as the
-    next triple's GEMM has read it; the last one is the node's output.
-    Backward walks the triples in reverse in the output gradient it
-    receives, which it owns (see nn.tensor); a read-only gradient (sum's
-    broadcast) is masked into a new array instead.  Per triple it applies
-    the ReLU mask and the BatchNorm backward, which overwrites that triple's
-    x-hat, then recomputes the triple's input from the previous triple's
-    x-hat with the forward's own ops.  That array gives the weight gradient
-    and the previous triple's ReLU mask, and is freed before the input
-    gradient is allocated.  predict runs the BatchNorm affine map and the
-    ReLU in place in each GEMM output and keeps nothing, over tiles of whole
-    clouds of at most _TILE_ROWS rows, so that a batch's layer outputs never
-    reach megabytes.  The tiles leave every bit unchanged: numpy's GEMM
-    gives a row the same bits whatever number of rows, two or more, shares
-    the call (measured for the encoder's layer shapes; tests/test_predict.py
-    checks it at several tile sizes), and every other op is per row or per
-    feature.  A one-row product goes to gemv, whose bits may differ, so
-    clouds of one point run untiled.
+    triple's output, max(x-hat * gamma + beta, 0), exists one tile at a
+    time, each tile dropped once the next triple's GEMM has read it; the
+    last one is the node's output.  Backward walks the triples in reverse
+    in the output gradient it receives, which it owns (see nn.tensor); a
+    read-only gradient (sum's broadcast) is masked into a new array instead.
+    Per triple it applies the ReLU mask and the BatchNorm backward, which
+    overwrites that triple's x-hat, then recomputes the triple's input from
+    the previous triple's x-hat with the forward's own ops.  That array
+    gives the weight gradient and the previous triple's ReLU mask, and is
+    freed before the input gradient is allocated.  predict runs the
+    BatchNorm affine map and the ReLU in place in each GEMM output and keeps
+    nothing, tile by tile, so that a batch's layer outputs never reach
+    megabytes.
+
+    Both calls tile by one rule, _cloud_tiles: whole clouds of at most
+    _TILE_ROWS rows.  The tiles leave every bit unchanged: numpy's GEMM gives
+    a row the same bits whatever number of rows, two or more, shares the
+    call (measured for the encoder's layer shapes; tests/test_predict.py and
+    tests/test_fused_block.py check it at several tile sizes), and every
+    other op in a tile is per row or per feature.  A one-row product goes to
+    gemv, whose bits may differ, so clouds of one point run as one tile.
     """
 
     def __init__(self, triples: list):
         self.triples = triples  # (PointwiseDense, BatchNorm) pairs
 
-    def _run(self, x: np.ndarray, train: bool, check, index: int) -> tuple:
+    def _train(self, x: np.ndarray, check, index: int) -> tuple:
         """(output, the first triple's flat input, (x-hat, inv) per triple)
-        of forward's train call of the run on array x, or (output, None, [])
-        of predict's infer call.  `check(array, i)` raises when the output of
-        layer i is not finite; `index` is the index of the run's first layer.
+        of forward's call on array x; `check(array, i)` raises when the
+        output of layer i is not finite, and `index` is the index of the
+        run's first layer.
 
-        Each triple is scanned once, at its BatchNorm output, which is not
-        finite whenever its GEMM output is not.  The dense layer is still
-        named when its output is the one that is not finite: a train call
-        scans the GEMM output when the batch mean is not finite, before the
-        running statistics change; an infer call, whose BatchNorm overwrote
-        the GEMM output, recomputes it from the input when the scan fails."""
-        first, states = None, []
+        A triple's GEMM output, batch mean, x-hat and running statistics
+        span all rows.  Then each tile gets x-hat * gamma + beta, its scan,
+        the ReLU, and the next triple's GEMM and bias, written into that tile
+        of the next GEMM output; the last triple's output, the node's, is
+        written whole.  A triple is scanned at its BatchNorm output, which is
+        not finite wherever its GEMM output is not; the GEMM output itself is
+        scanned only when its mean is not finite, before the running
+        statistics change, so that the dense layer is named when its output
+        is the one at fault.  Every tile is scanned before the next triple's
+        mean is taken, so the first layer named is the one an untiled call
+        names."""
+        dense = self.triples[0][0]
+        dense.check_input(x)
+        lead, tiles = x.shape[:-1], _cloud_tiles(x)
+        first, h = affine(x, dense.w.data, dense.b.data)
+        states = []
+        for j, (dense, bn) in enumerate(self.triples):
+            mu = h.mean(axis=0)
+            if not np.isfinite(mu).all():
+                check(h, index + 3 * j)
+            states.append(bn.normalize_train(h, mu, out=h))
+            xhat = h.reshape(lead + (dense.n_out,))
+            if j + 1 == len(self.triples):
+                return _bn_relu(bn, xhat, check, index + 3 * j + 1), first, states
+            nxt = self.triples[j + 1][0]
+            nxt.check_input(xhat)
+            h = np.empty((len(first), nxt.n_out))
+            out = h.reshape(lead + (nxt.n_out,))
+            for t in tiles:
+                y = _bn_relu(bn, xhat[t], check, index + 3 * j + 1)
+                dst = out[t].reshape(-1, nxt.n_out)
+                np.matmul(y.reshape(-1, dense.n_out), nxt.w.data, out=dst)
+                dst += nxt.b.data
+
+    def _infer(self, x: np.ndarray, check, index: int) -> np.ndarray:
+        """predict's output for array x, run whole; `check` and `index` as
+        in _train.  The BatchNorm output overwrites the GEMM output, so when
+        its scan fails the GEMM output is recomputed from the input, to name
+        the dense layer when that is the one that is not finite."""
         for j, (dense, bn) in enumerate(self.triples):
             dense.check_input(x)
             shape = x.shape[:-1] + (dense.n_out,)
             w, b = dense.w.data, dense.b.data
             flat, h = affine(x, w, b)
-            if train:
-                if not j:
-                    first = flat
-                # A later triple's input is a view of the previous output: drop it.
-                del x, flat
-                mu = h.mean(axis=0)
-                if not np.isfinite(mu).all():
-                    check(h, index + 3 * j)
-                states.append(bn.normalize_train(h, mu, out=h))
-                y = bn.scale_shift(h)
+            y = bn.normalize_infer(h, *bn.infer_stats(), out=h)
+            try:
                 check(y, index + 3 * j + 1)
-            else:
-                y = bn.normalize_infer(h, *bn.infer_stats(), out=h)
-                try:
-                    check(y, index + 3 * j + 1)
-                except FloatingPointError:
-                    check(affine(flat, w, b)[1], index + 3 * j)
-                    raise
-                del x, flat
-            # ReLU maps finite values to finite values, so its output needs no check.
+            except FloatingPointError:
+                check(affine(flat, w, b)[1], index + 3 * j)
+                raise
+            # A later triple's input is a view of the previous output: drop it.
+            del x, flat
             x = np.maximum(y, 0.0, out=y).reshape(shape)
-        return x, first, states
+        return x
 
     def predict(self, x: np.ndarray, check, index: int) -> np.ndarray:
-        """The infer call's output, from consecutive tiles of whole clouds
-        of at most _TILE_ROWS rows (one cloud when a cloud has more), joined.
-        Clouds of one point run untiled (see the class).  An error in any
-        tile reruns the whole batch, which raises the error of the untiled
-        call: the first layer that fails on any cloud, and the full shape."""
-        if x.ndim != 3 or x.shape[1] < 2 or x.shape[0] * x.shape[1] <= _TILE_ROWS:
-            return self._run(x, False, check, index)[0]
-        per = max(_TILE_ROWS // x.shape[1], 1)
+        """The output of the run on each tile of x (see _cloud_tiles),
+        joined.  An error in any tile of several reruns the whole batch,
+        which raises the error of an untiled call: the first layer that
+        fails on any cloud, and the full shape."""
+        tiles = _cloud_tiles(x)
+        if len(tiles) == 1:
+            return self._infer(x, check, index)
         try:
-            tiles = [self._run(x[s : s + per], False, check, index)[0]
-                     for s in range(0, len(x), per)]
+            outs = [self._infer(x[t], check, index) for t in tiles]
         except (FloatingPointError, ValueError):
-            return self._run(x, False, check, index)[0]
-        return np.concatenate(tiles)
+            return self._infer(x, check, index)
+        return np.concatenate(outs)
 
     def forward(self, x: Tensor, check, index: int) -> Tensor:
         triples = self.triples
-        y, first, states = self._run(x.data, True, check, index)
+        y, first, states = self._train(x.data, check, index)
         params = [t for dense, bn in triples for t in (dense.w, dense.b, bn.gamma, bn.beta)]
         out = Tensor(y, (x, *params))
 
@@ -431,8 +474,9 @@ class Network:
 
     def forward(self, x: Tensor) -> Tensor:
         """Run the stack as autodiff nodes with training arithmetic, each run
-        of fused triples as one PointBlock node; raise FloatingPointError
-        naming the first layer whose output is not finite."""
+        of fused triples as one PointBlock node, which builds each triple's
+        output in predict's tiles; raise FloatingPointError naming the first
+        layer whose output is not finite."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         for n, (i, step) in enumerate(self._steps):
@@ -451,7 +495,7 @@ class Network:
         runs in tiles of whole clouds of at most _TILE_ROWS rows, so the
         encoder's working set does not grow with the batch; a GEMM gives
         each row the same bits in a tile as in the batch, except in a one-row
-        tile, so clouds of one point run untiled (see PointBlock)."""
+        tile, so clouds of one point run as one tile (see PointBlock)."""
         x = np.asarray(x, dtype=np.float64)
         for n, (i, step) in enumerate(self._steps):
             if isinstance(step, PointBlock):

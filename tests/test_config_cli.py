@@ -262,7 +262,9 @@ MICRO = {
 
 @pytest.fixture(scope="module")
 def micro_run(tmp_path_factory):
-    """One full pipeline pass: synth, both AEs, GAN, complete, eval, sweep."""
+    """One full pipeline pass: synth, both AEs, the GAN in two modes,
+    complete, eval, sweep and ablate; `digests` holds the sha256 of every
+    file they wrote, taken before any test touches the run."""
     base = tmp_path_factory.mktemp("cli")
     cfg_path = base / "config.json"
     cfg_path.write_text(json.dumps(MICRO))
@@ -272,6 +274,7 @@ def micro_run(tmp_path_factory):
     assert main(["train-ae", *args]) == 0
     assert main(["train-ae", *args, "--target", "partial"]) == 0
     assert main(["train-gan", *args]) == 0
+    assert main(["train-gan", *args, "--mode", "partial_ae"]) == 0
     completions = base / "completions"
     assert main(["complete", *args, "--input", str(run / "dataset" / "partial_test"),
                  "--output", str(completions)]) == 0
@@ -281,8 +284,15 @@ def micro_run(tmp_path_factory):
         assert main(["eval", *args, "--completions", str(completions),
                      "--gt", str(run / "dataset" / "clean_test"), "--label", "t"]) == 0
     assert main(["sweep", *args]) == 0
+    assert main(["ablate", *args]) == 0
+    digests = {
+        f"{root.name}/{p.relative_to(root).as_posix()}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for root in (run, completions)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
     return {"base": base, "run": run, "cfg": cfg_path, "completions": completions,
-            "args": args}
+            "args": args, "digests": digests}
 
 
 def test_run_directory_layout(micro_run):
@@ -340,6 +350,60 @@ def test_rerun_is_byte_identical(micro_run):
     assert main(["sweep", *args]) == 0
     for p, data in before.items():
         assert p.read_bytes() == data, p
+
+
+# sha256 of every file the micro_run chain writes, under the run and the
+# completions directory.  Float64 GEMM results depend on the BLAS kernels, so
+# another numpy/BLAS build may need new digests, as in test_fused_block.py.
+MICRO_DIGESTS = {
+    "run/checkpoints/clean_ae.json": "728dd50bcfd6a5763c179be6b5c1c30f2ced6d7fdb7e1f5c4da714273b86fff8",
+    "run/checkpoints/gan_default.json": "1e2f1844ea08e841e284df8f02fb53afce08531c1a04302156565279236c7114",
+    "run/checkpoints/gan_emd_recon.json": "4c19b72a63bb1e56cb206858eda148b58f4dd567358b78ea7555fe3ea36812cf",
+    "run/checkpoints/gan_no_gan.json": "bef4fd043c2c4e702ae64f6a4be3ae91a023e8847c50d689bb610d8e2fe247fd",
+    "run/checkpoints/gan_no_recon.json": "d5b0fc4763595d51b8a563f6ad133069a0b1de24fbb68dabc7ac2e358f93aa6c",
+    "run/checkpoints/gan_partial_ae.json": "7be2daeb3686a4eb7a7bde506c1a9d314bdddab49151676e473749a5370a5625",
+    "run/checkpoints/gan_supervised_emd.json": "291d7ce6a9debf89fb8461d2e903b03a07c628d2323ec8c6cdd3fe4713a21e82",
+    "run/checkpoints/gan_supervised_emd_gan.json": "00d1fc6eb923cf1d9ba01baa1f7fcfea7c6923c5ada1625471cc174602e95302",
+    "run/checkpoints/partial_ae.json": "0f153d53738aec6d45284ebfa3d5de523c80a216e9c08ff2d7403a4797532376",
+    "run/config.resolved.json": "20dfceacced690472dc1c41f89ad52b175d9f4b4369a52b566d5d51caf16bbf0",
+    "run/dataset/clean_test/0000.ply": "34e64507303e2d053ceb473f6a2d6c4de35685ed9f8f4bf30bf5262ff02999e6",
+    "run/dataset/clean_test/0001.ply": "882a3f06c0d62e72d65667c8f43adec8b500ddc8fd82ad1e7eb0c784b2bfa7ad",
+    "run/dataset/clean_train/0000.ply": "7893084d95849135c9cb4f07c8482a2f9fef68888b24e6b5d8b06fc96fdf6888",
+    "run/dataset/clean_train/0001.ply": "814de9cb6df8c406b1c2c35bdb3a5523cc8503ec060be46966da7d96d62ba318",
+    "run/dataset/clean_train/0002.ply": "d8711113512ccebd16ea904923b4d8115c54e12f950507a9e72b6bffeefff98c",
+    "run/dataset/manifest.json": "895450666f993a3b048802c389a385d0a9ec6888077034d3a4c349a4f4738dc5",
+    "run/dataset/partial_test/0000.ply": "17f4f6639d808ad0709bb81ddd9063154437d86df31ff29d032d29d77602723f",
+    "run/dataset/partial_test/0001.ply": "434327702519b5aa27e08b46e9ea9265b32e6192909c23724ecc8085229f4957",
+    "run/dataset/partial_train/0000.ply": "8a8a67cc62cd4f329dae7ad008dfd017d3539cf7bd784cb571a9937a22ba49da",
+    "run/dataset/partial_train/0001.ply": "c913ce7e95565b81fea289dfffbd8b77b937a8ee296f1793d1e7c958f97b7d01",
+    "run/dataset/partial_train/0002.ply": "2545284b177f15a055a8419706bcc78e3487fbbdec55e3d5b5895f2eaf0f29b4",
+    "run/dataset/partial_train_gt/0000.ply": "3e86825b102c453e8c9bfd423a157b606d5caad6e6485943550630b5b7420672",
+    "run/dataset/partial_train_gt/0001.ply": "a4251825a2a8d65d026934fd4b954cc864d834683f7f530fc7937eb6185f5c5a",
+    "run/dataset/partial_train_gt/0002.ply": "b58f1b41ebdd0f0a440ef93f99110b3bff225c95d2c215a66cbe9b31da527c1e",
+    "run/reports/ablation.csv": "b526523383c78135a914a3be5cfc01e72dd14664b452653db463696ff67f73c5",
+    "run/reports/ae_clean_loss.csv": "8d7f7412041d5d9aa41b7d83ed4ba2d4d94f975ba1d7efcb64b5f001036a0153",
+    "run/reports/ae_partial_loss.csv": "16c90f7f0857c4583e4e21c608020f1ee96a071d34be75585a042bd1c45bed6f",
+    "run/reports/gan_default_loss.csv": "e4919d576518a7998e3001b4208b0d3d9ebf488f04af556646344619d1eaf1c0",
+    "run/reports/gan_emd_recon_loss.csv": "9037074808e8abd0d9b5433253c3a5aafc7c64f7fc81d6891e77b02f46a1c630",
+    "run/reports/gan_no_gan_loss.csv": "ec2d8360850e30598e1a369f90443704e8cd8ce0c157b1c1f653a5306f9d1a0c",
+    "run/reports/gan_no_recon_loss.csv": "5f5cc01734a454e713ce8b202f440af909bf0ab8334f4243923a44d88669d0c1",
+    "run/reports/gan_partial_ae_loss.csv": "ceff289dfa350c5077e92d7bc972ce66a5068eca402889f87a324d6d6adc8878",
+    "run/reports/gan_supervised_emd_gan_loss.csv": "8235637d609af71604317acafaf24b7325c681d3f4b6d4bab24848a280dddd29",
+    "run/reports/gan_supervised_emd_loss.csv": "a6e1f494be95e39d0336ebcd0ad69f882eaaad2dd3b467d66085cd21ad3c379e",
+    "run/reports/sweep.csv": "6e0b2c324af4aa8f29f35ea61a87fe5736a2f7b7322db015f616dc11cb9c9142",
+    "run/reports/t_per_shape.csv": "53ffcbc7575e54d31575052de091470ddfc61deb9d58bea44e3c23ee17cdde7f",
+    "run/reports/t_summary.json": "d73756c8bcdfe75c68b08fc3106f12fcb34bf85d60ba1be182acfa96f8b8b193",
+    "completions/0000.ply": "1092b337aa73972fdd7f78677cbd129c2adb28b4a23512f6b324cf330a5b32b3",
+    "completions/0001.ply": "9a8ccfaa8fd261fb7f4ce5b244c25ea744ac593ddf471c3b7fdd476158805355",
+}
+
+
+def test_micro_chain_artifacts_pinned(micro_run):
+    # Every artifact of every command, byte for byte: a change that moves any
+    # of them fails here and names the files that moved.
+    got, want = micro_run["digests"], MICRO_DIGESTS
+    moved = sorted(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+    assert not moved, f"artifacts moved: {moved}"
 
 
 def test_seed_override_recorded(micro_run, tmp_path):

@@ -6,11 +6,13 @@ flattened GEMM with the bias added in place, the BatchNorm batch-statistics
 arithmetic, and ReLU with its mask taken from the output.  Network.forward
 always trains (it hands every layer train=True), so that is the only form.
 A point block runs a whole run of triples; it must equal the reference
-chained triple by triple, bit for bit, forward and backward.  The block's
-predict is held to the layers' own predict in tests/test_predict.py.
+chained triple by triple, bit for bit, forward and backward, at every tile
+size of its training forward.  The block's predict is held to the layers'
+own predict in tests/test_predict.py.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,10 @@ from scanmend.nn.layers import (
 )
 from scanmend.nn.tensor import Tensor
 from scanmend.rng import Rng
+from scanmend.synth import generate_shape, sample_params
+
+# Rows per point-block tile: one cloud per tile, a few clouds, and the default.
+TILE_ROWS = [1, 2, 7, layers_module._TILE_ROWS]
 
 
 def _reference(x, w, b, gamma, beta, mean, var, g):
@@ -176,14 +182,25 @@ def test_point_block_bit_identical_to_three_layers(
     widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
     layout=st.sampled_from(["contiguous", "strided", "fortran"]),
     reshaped=st.booleans(),
+    tile_rows=st.sampled_from(TILE_ROWS),
     seed=st.integers(0, 2**16),
 )
-@example(batch=1, points=1, n_in=3, widths=[9, 4, 7], layout="strided", reshaped=False, seed=1)
-@example(batch=2, points=3, n_in=1, widths=[2, 9, 1], layout="fortran", reshaped=True, seed=2)
+@example(batch=1, points=1, n_in=3, widths=[9, 4, 7], layout="strided", reshaped=False,
+         tile_rows=2, seed=1)
+@example(batch=2, points=3, n_in=1, widths=[2, 9, 1], layout="fortran", reshaped=True,
+         tile_rows=512, seed=2)
+@example(batch=4, points=5, n_in=3, widths=[6, 9, 4], layout="strided", reshaped=False,
+         tile_rows=7, seed=3)
+@example(batch=3, points=2, n_in=5, widths=[3, 8], layout="contiguous", reshaped=True,
+         tile_rows=1, seed=4)
 def test_point_block_run_bit_identical_to_chained_layers(
-    batch, points, n_in, widths, layout, reshaped, seed
+    batch, points, n_in, widths, layout, reshaped, tile_rows, seed
 ):
-    _check_run(batch, points, n_in, widths, layout, reshaped, seed)
+    # The block's training forward runs each triple but the last, after its
+    # batch statistics, in tiles of whole clouds of at most tile_rows rows
+    # (one cloud when a cloud has more); the reference never tiles.
+    with mock.patch.object(layers_module, "_TILE_ROWS", tile_rows):
+        _check_run(batch, points, n_in, widths, layout, reshaped, seed)
 
 
 def test_network_fuses_only_matching_triples():
@@ -239,10 +256,20 @@ def _faulty_net(fault: str):
         x[1, 2] = 1e308
         net.layers[0].w.data = np.full((3, 4), 2.0)
         net.layers[3].w.data = np.full((4, 5), 1e10)
+    elif fault == "gemm-3-late":  # only cloud 1 overflows, at the second GEMM
+        x[1, 2] = 1e3  # x-hat about 3.3 in that row, -0.3 elsewhere
+        net.layers[0].w.data = np.full((3, 4), 2.0)
+        net.layers[1].gamma.data = np.full(4, 1e300)
+        net.layers[3].w.data = np.full((4, 5), 1e10)
+    elif fault == "gemm-3-then-1":  # cloud 0 overflows at the second GEMM, cloud 1 at layer 1
+        x[0, 0] = 1e3  # x-hat about 1.3 in that row
+        x[1, 2] = 2e3  # and about 2.9 in this one
+        net.layers[0].w.data = np.full((3, 4), 2.0)
+        net.layers[1].gamma.data = np.full(4, 1e308)
     return net, x
 
 
-CALLS = ("train", "predict", "predict-tiled")
+CALLS = ("train", "train-tiled", "predict", "predict-tiled")
 
 
 @pytest.mark.parametrize(
@@ -251,8 +278,10 @@ CALLS = ("train", "predict", "predict-tiled")
         *[(call, "gemm-0", "0 (pointwise)") for call in CALLS],
         *[(call, "gemm-3", "3 (pointwise)") for call in CALLS],
         *[(call, "gamma-1", "1 (batchnorm)") for call in CALLS],
-        ("train", "mean-1", "1 (batchnorm)"),
+        *[(call, "mean-1", "1 (batchnorm)") for call in ("train", "train-tiled")],
         *[(call, "gemm-3-then-0", "0 (pointwise)") for call in CALLS],
+        *[(call, "gemm-3-late", "3 (pointwise)") for call in ("train", "train-tiled")],
+        *[(call, "gemm-3-then-1", "1 (batchnorm)") for call in ("train", "train-tiled")],
     ],
 )
 def test_point_block_names_the_layer_whose_output_is_not_finite(
@@ -261,10 +290,13 @@ def test_point_block_names_the_layer_whose_output_is_not_finite(
     # The block scans each triple once, at its BatchNorm output; the error
     # must still name the dense layer when the GEMM output is the one that is
     # not finite, and a train call must raise before that triple's BatchNorm
-    # changes its running statistics.  predict-tiled runs one cloud per tile,
-    # so the faulty cloud of gemm-0 is in the second tile, and in
-    # gemm-3-then-0 the first tile fails at a later layer than the batch.
-    if call == "predict-tiled":
+    # changes its running statistics.  The tiled calls run one cloud per
+    # tile.  predict-tiled: the faulty cloud of gemm-0 is in the second tile,
+    # and in gemm-3-then-0 the first tile fails at a later layer than the
+    # batch.  train-tiled: in gemm-3-late the fault is in the second tile of
+    # the second triple, and in gemm-3-then-1 the first tile's next GEMM
+    # overflows before the second tile's BatchNorm output is scanned.
+    if call.endswith("-tiled"):
         monkeypatch.setattr(layers_module, "_TILE_ROWS", 6)
     net, x = _faulty_net(fault)
     second_bn = net.layers[4]
@@ -321,6 +353,41 @@ def test_train_and_complete_output_pinned(tmp_path):
     assert (
         _pipeline_digest(tmp_path)
         == "5205b375bba77284670b780413aada4e96add6715db2a7e8f583461cff420e73"
+    )
+
+
+def _desk_shape_digest() -> str:
+    h = hashlib.sha256()
+
+    def put(arr):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    root = Rng(91)
+    clouds = np.empty((50, 128, 3))
+    for i in range(len(clouds)):
+        rng = root.spawn(i)
+        clouds[i] = generate_shape("chair5", sample_params("chair5", rng), 128, rng, 32)[1].points
+    cfg = AeTrainConfig(lr=5e-4, beta1=0.9, batch_size=50, epochs=1, seed=0)
+    ae, losses = train_ae(clouds, AutoencoderSpec(n=128, k=16), cfg)
+    put(losses)
+    put(ae.as_single_network().param_vector())
+    for layer in ae.encoder.layers:
+        if isinstance(layer, BatchNorm):
+            put(layer.running_mean)
+            put(layer.running_var)
+    return h.hexdigest()
+
+
+def test_training_at_desk_shapes_pinned():
+    # One epoch of train_ae at the desk-scale shapes (50 chair5 clouds of 128
+    # points, k = 16, one batch of 50): 6,400 rows per encoder GEMM, so the
+    # point block's training forward runs in several tiles.  Digest of the
+    # loss, the parameters and the BatchNorm running statistics, pinned
+    # before that forward was tiled.  Another BLAS build may need a new pin,
+    # as above.
+    assert (
+        _desk_shape_digest()
+        == "b09f4184ad449af0ea91dbb332e11eb212ec3302f62e580b13c8a8dfe9430bef"
     )
 
 
